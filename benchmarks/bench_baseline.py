@@ -7,22 +7,15 @@ entry in that file is one recorded revision, so the file accumulates the
 project's performance trajectory over time instead of a single mutable
 number.
 
-Three verbs::
+Two verbs::
 
     python benchmarks/bench_baseline.py              # measure and print
     python benchmarks/bench_baseline.py --write --label <rev>   # append
-    python benchmarks/bench_baseline.py --check      # compare vs latest
 
-What is comparable: the *byte/message* counters of the serial and
-simulated backends are fully deterministic (the simulator is a DES, the
-serial backend sends nothing), so ``--check`` requires them equal to the
-latest recorded entry. The threads/processes backends' message counts
-depend on poll timing and their wall times on machine load, so those are
-reported but only sanity-bounded, never compared exactly.
-
-For a tolerance-based gate (ratio-normalized makespans, configurable
-headroom, exit code 3 on regression) use ``repro perf --against
-BENCH_BASELINE.json --check`` instead — both front-ends share
+The gate is ``repro perf --against BENCH_BASELINE.json --check`` (exit
+code 3 on regression): the serial and simulated backends' byte/message
+counters are deterministic and must equal the latest recorded entry,
+makespans get ratio-normalized headroom. Both front-ends share
 :mod:`repro.analysis.trajectory`.
 """
 
@@ -72,35 +65,9 @@ def cmd_write(label: str) -> int:
     return 0
 
 
-def cmd_check() -> int:
-    doc = load_baseline()
-    entries = doc.get("entries", [])
-    if not entries:
-        print("no baseline entries recorded; run with --write first", file=sys.stderr)
-        return 1
-    latest = entries[-1]["backends"]
-    current = measure()
-    print(format_measurement(current))
-    failures = []
-    for backend in DETERMINISTIC:
-        for key in ("messages", "bytes_to_slaves", "bytes_to_master"):
-            want, got = latest[backend][key], current[backend][key]
-            if want != got:
-                failures.append(f"{backend}.{key}: baseline {want} != current {got}")
-    if failures:
-        print("baseline drift (deterministic wire counters changed):")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print(f"wire counters match baseline entry {entries[-1]['label']!r}")
-    return 0
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    verb = ap.add_mutually_exclusive_group()
-    verb.add_argument("--write", action="store_true", help="append an entry to BENCH_BASELINE.json")
-    verb.add_argument("--check", action="store_true", help="compare against the latest entry")
+    ap.add_argument("--write", action="store_true", help="append an entry to BENCH_BASELINE.json")
     ap.add_argument(
         "--label",
         default=None,
@@ -109,8 +76,6 @@ def main() -> int:
     args = ap.parse_args()
     if args.write:
         return cmd_write(args.label if args.label is not None else git_describe_label())
-    if args.check:
-        return cmd_check()
     print(format_measurement(measure()))
     return 0
 

@@ -15,9 +15,8 @@ it:
 What is gated, and how, follows what is actually stable:
 
 - *Deterministic wire counters* (serial + simulated backends): message
-  and byte counts reproduce bit-for-bit, so any **increase** beyond
-  ``max_bytes_regress`` (default 0: none) fails. Decreases pass — they
-  are improvements the next ``--write`` records.
+  and byte counts reproduce bit-for-bit, so any change fails — even a
+  decrease is a protocol change the next ``--write`` must record.
 - *Simulated makespan*: sim-time is deterministic; gated directly
   against ``max_makespan_regress``.
 - *Real-backend makespans* (threads/processes): wall time depends on
@@ -60,11 +59,6 @@ DETERMINISTIC = ("serial", "simulated")
 #: machines are noisy, and the ratio-to-serial normalization only
 #: removes the *linear* part of machine variation.
 DEFAULT_MAKESPAN_REGRESS = 0.75
-
-#: Default headroom for deterministic wire counters: none — any byte or
-#: message increase is a real protocol change someone must acknowledge
-#: by re-recording the baseline.
-DEFAULT_BYTES_REGRESS = 0.0
 
 
 def measure_backend(backend: str) -> Dict[str, object]:
@@ -151,22 +145,26 @@ def append_entry(
 
 @dataclass(frozen=True)
 class GateCheck:
-    """One gate comparison: ``got`` must stay within ``tol`` of ``want``."""
+    """One gate comparison: ``got`` must stay within ``tol`` of ``want``
+    (``tol`` None: must equal it)."""
 
     name: str
     want: float
     got: float
-    tol: float
+    tol: Optional[float]
 
     @property
     def ok(self) -> bool:
+        if self.tol is None:
+            return self.got == self.want
         return self.got <= self.want * (1.0 + self.tol)
 
     def describe(self) -> str:
         verdict = "ok" if self.ok else "REGRESSION"
+        allowed = "must equal" if self.tol is None else f"allowed +{self.tol:.0%}"
         return (
             f"{self.name}: baseline {self.want:.6g}, current {self.got:.6g} "
-            f"(allowed +{self.tol:.0%}) — {verdict}"
+            f"({allowed}) — {verdict}"
         )
 
 
@@ -198,7 +196,6 @@ def check_against(
     path: str,
     *,
     max_makespan_regress: float = DEFAULT_MAKESPAN_REGRESS,
-    max_bytes_regress: float = DEFAULT_BYTES_REGRESS,
     measured: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> GateResult:
     """Gate a fresh measurement against the latest trajectory entry.
@@ -225,7 +222,7 @@ def check_against(
                     name=f"{backend}.{key}",
                     want=float(base[backend][key]),
                     got=float(current[backend][key]),
-                    tol=max_bytes_regress,
+                    tol=None,
                 )
             )
     if "simulated" in base and "simulated" in current:

@@ -2,7 +2,10 @@
 
 Drains the process-level DAG in topological order, computing each block's
 inner DAG serially too. This is the correctness oracle for the parallel
-backends and the wall-time baseline for measured speedups.
+backends and the wall-time baseline for measured speedups. Every block
+commits through the same :class:`~repro.runtime.core.MasterCore` as the
+parallel backends (journal write-ahead, merge, digest fold, checkpoint),
+and ``verify`` runs the same happens-before check on its trace.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.analysis.report import RunReport
-from repro.comm.serialization import (
-    MESSAGE_ENVELOPE_BYTES,
-    content_digest,
-    payload_nbytes,
-)
-from repro.integrity import fold_commit, run_digest_hex
-from repro.obs import EventRecorder, MetricsRegistry, to_gantt_trace
+from repro.comm.serialization import MESSAGE_ENVELOPE_BYTES, payload_nbytes
+from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer, to_gantt_trace
 from repro.runtime.config import RunConfig
+from repro.runtime.core import MasterCore
 
 
 def run_serial(
@@ -39,37 +38,42 @@ def run_serial(
     proc_size, thread_size = config.partitions_for(problem)
     partition = problem.build_partition(proc_size)
     state = problem.make_state() if resume is None else resume.state
-    committed = dict(resume.committed) if resume is not None else {}
     # The oracle emits the same task lifecycle as the parallel backends
     # (one virtual worker, node 0) so traces are structurally comparable.
     recorder = EventRecorder() if config.observing else None
     metrics = MetricsRegistry() if config.observing else None
+    sched = ScheduleTracer(verify=config.verify, obs=recorder, node=0)
     journal = open_journal(config, problem, resume, obs=recorder)
-    if recorder is not None and committed:
-        recorder.emit("resume", None, node=0, n_committed=len(committed))
     # The oracle folds the same rolling run digest as the parallel
     # backends (epoch-free, so the folds compare directly); resumed runs
     # continue from the journal's fold.
     digest_on = config.integrity != "off"
-    digest_acc = 0
-    digests: Dict = {}
-    if digest_on and resume is not None:
-        if resume.run_digest:
-            digest_acc = int(resume.run_digest, 16)
-        digests.update(resume.scan.commit_digests)
+    core = MasterCore(
+        partition.abstract,
+        n_workers=1,
+        sched=sched,
+        fold_digests=digest_on,
+        journal=sched.timed(journal),
+        merge=lambda bid, outputs: problem.apply_result(state, partition, bid, outputs),
+        snapshot=lambda: {k: np.array(v, copy=True) for k, v in state.items()},
+        committed=resume.committed if resume is not None else None,
+        attempts=resume.attempts if resume is not None else None,
+        run_digest=resume.run_digest if digest_on and resume is not None else None,
+        commit_digests=(
+            resume.scan.commit_digests if digest_on and resume is not None else None
+        ),
+    )
+    core.replay(sched.now())
     started = time.perf_counter()
     n_subtasks = 0
     try:
-        n_subtasks, digest_acc = _drain(
-            problem, partition, state, committed, journal,
-            recorder, metrics, thread_size, digest_on, digest_acc, digests,
-        )
-        if journal is not None:
-            journal.end(run_digest=run_digest_hex(digest_acc) if digest_on else None)
+        n_subtasks = _drain(problem, partition, state, core, metrics, thread_size)
+        core.finish()
     finally:
         if journal is not None:
             journal.close()
     elapsed = time.perf_counter() - started
+    sched.check(partition.abstract, title=f"serial-trace({problem.name})")
     report = RunReport(
         backend="serial",
         scheduler="none",
@@ -81,7 +85,7 @@ def run_serial(
         n_tasks=partition.n_blocks,
         n_subtasks=n_subtasks,
         total_flops=problem.total_flops(partition),
-        run_digest=run_digest_hex(digest_acc) if digest_on else None,
+        run_digest=core.run_digest,
     )
     if recorder is not None:
         report.events = recorder.events()
@@ -92,77 +96,39 @@ def run_serial(
     return state, report
 
 
-def _drain(
-    problem, partition, state, committed, journal,
-    recorder, metrics, thread_size, digest_on, digest_acc, digests,
-) -> Tuple[int, int]:
+def _drain(problem, partition, state, core, metrics, thread_size) -> int:
     """Topological drain of the remaining (uncommitted) blocks."""
+    sched = core.sched
+    observing = sched.observing
     n_subtasks = 0
     for bid in partition.abstract.topological_order():
-        if bid in committed:
+        if bid in core.committed:
             continue  # recovered from the journal; already in state
+        epoch = core.register.register(bid, 0)
         inputs = problem.extract_inputs(state, partition, bid)
-        if recorder is not None:
-            recorder.emit("assign", bid, epoch=0, node=0, worker=0)
-            recorder.emit(
-                "send", bid, epoch=0, node=0, worker=0,
+        if sched.enabled:
+            core.assigned(bid, epoch, 0, sched.now())
+        if observing:
+            sched.record(
+                "send", bid, epoch, 0,
                 nbytes=MESSAGE_ENVELOPE_BYTES + payload_nbytes(inputs),
             )
         evaluator = problem.evaluator(partition, bid, inputs)
         inner = partition.sub_partition(bid, thread_size)
         n_subtasks += inner.n_blocks
-        t0 = recorder.clock.now() if recorder is not None else 0.0
+        t0 = sched.now() if observing else 0.0
         outputs = evaluator.run_serial(inner)
-        if recorder is not None:
-            t1 = recorder.clock.now()
-            recorder.emit("compute", bid, epoch=0, node=0, worker=0, t0=t0, t1=t1)
-            recorder.emit(
-                "result", bid, epoch=0, node=0, worker=0,
+        if observing:
+            t1 = sched.now()
+            sched.record("compute", bid, epoch, 0, t0=t0, t1=t1)
+            sched.record(
+                "result", bid, epoch, 0,
                 nbytes=MESSAGE_ENVELOPE_BYTES + payload_nbytes(outputs),
                 elapsed=t1 - t0,
             )
-            recorder.emit("commit", bid, epoch=0, node=0, worker=0)
             if metrics is not None:
                 metrics.counter("serial.tasks_completed").inc()
-        digest = None
-        if digest_on:
-            if recorder is not None:
-                d0 = recorder.clock.now()
-                digest = content_digest(outputs)
-                d1 = recorder.clock.now()
-                recorder.emit(
-                    "digest-compute", bid, epoch=0, node=0, worker=0,
-                    t0=d0, t1=d1, hop="commit",
-                )
-            else:
-                digest = content_digest(outputs)
-            digest_acc = fold_commit(digest_acc, bid, digest)
-            digests[bid] = digest
-        if journal is not None:
-            if recorder is not None:
-                j0 = recorder.clock.now()
-                jbytes = journal.commit(bid, 0, outputs, digest=digest)
-                j1 = recorder.clock.now()
-                recorder.emit(
-                    "journal-write", bid, epoch=0, node=0, worker=0,
-                    t0=j0, t1=j1, nbytes=jbytes,
-                )
-            else:
-                journal.commit(bid, 0, outputs, digest=digest)  # write-ahead of the merge
-        problem.apply_result(state, partition, bid, outputs)
-        committed[bid] = 0
-        if journal is not None and journal.should_checkpoint():
-            snapshot = {k: np.array(v, copy=True) for k, v in state.items()}
-            c0 = recorder.clock.now() if recorder is not None else 0.0
-            nbytes = journal.checkpoint(
-                snapshot, committed, {t: 1 for t in committed},
-                run_digest=run_digest_hex(digest_acc) if digest_on else None,
-                commit_digests=dict(digests) if digest_on else None,
-            )
-            if recorder is not None:
-                c1 = recorder.clock.now()
-                recorder.emit(
-                    "checkpoint", None, node=0, t0=c0, t1=c1,
-                    n_committed=len(committed), nbytes=nbytes,
-                )
-    return n_subtasks, digest_acc
+        digest = sched.digest(outputs, bid, epoch, 0, "commit") if core.fold_digests else None
+        core.accept(bid, epoch, 0)
+        core.commit(bid, epoch, 0, outputs, digest)
+    return n_subtasks

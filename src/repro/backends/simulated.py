@@ -1,57 +1,47 @@
 """Simulated backend: the two-level EasyHPS schedule on a modeled cluster.
 
-This backend replays the paper's experiments without Tianhe-1A: it runs
-the *actual* scheduling machinery (DAG parser, policy objects, register /
-overtime bookkeeping) against a deterministic cost model —
+This backend replays the paper's experiments without Tianhe-1A. Every
+master decision — stale drops, commits, budgeted requeues, blacklist,
+audits, quarantine, taint invalidation, journal replay — is made by the
+same :class:`~repro.runtime.core.MasterCore` the real backends ship; the
+simulator supplies only the clock (a discrete-event queue) and the
+modelled costs around it:
 
 - a sub-task's compute time is the makespan of its thread-level DAG under
   the node's computing threads (:func:`simulate_level`), charged from the
   algorithm's ``region_flops`` and the node's contention-aware rate;
 - every master<->slave message occupies both endpoints' NICs for
   ``latency + bytes/bandwidth``;
-- the master serializes a per-dispatch overhead, and each node handles
-  one sub-task at a time (the paper's slave loop).
+- the master serializes a per-dispatch overhead, each journal write
+  ``journal_latency`` and each audit recompute one inner makespan, and
+  each node handles one dispatch (or batched wave) at a time.
 
 Determinism: all decisions depend only on event order, which the event
 queue makes reproducible. Inner makespans are memoized on (pattern,
 cost-signature, threads), which collapses the many identical blocks of a
 regular DP grid.
 
-Fault injection: a "crash" costs the node half the compute time and never
-answers; a "hang" occupies the node for twice the timeout. Both are
-recovered by the simulated overtime check, mirroring Fig 10.
-
-Chaos (:mod:`repro.chaos`) is modeled too: message faults hit the
-simulated TaskAssign/TaskResult transfers (a dropped assignment leaves
-the node free and the registration to time out; a dropped result leaves
-the registration to time out while the node serves on), worker faults
-kill or slow whole nodes, timeouts are attributed to nodes for
-blacklisting, and re-dispatches honor the exponential backoff. A run
-that can no longer finish (every node dead) ends in a clean
-:class:`FaultToleranceExhausted` — the simulator cannot hang by
-construction (the event queue drains), so the abort path is the whole
-guarantee. Speculation is a no-op here: stragglers are deterministic and
-the plain timeout recovers them.
+Faults are modelled in sim-time: a "crash" costs the node half the
+compute and never answers, a "hang" occupies it for twice the timeout;
+message faults hit the modelled transfers, worker faults kill, slow or
+corrupt whole nodes. A run that can no longer finish (every node dead)
+ends in a clean :class:`FaultToleranceExhausted` — the event queue
+drains, so the simulator cannot hang. Speculation is not modelled:
+stragglers are deterministic and the plain timeout recovers them.
 
 Silent data corruption is modeled as *taint*: the simulator computes no
 cell values, so it tracks which commits would be wrong instead. A live
 dispatch becomes tainted by an undetected message mutation (``corrupt``
 with digests off, ``bitflip`` always — its digest is restamped) or by a
 lying node past its ``lie_point``; a commit whose predecessor commit is
-tainted inherits the taint ("garbage in"). The integrity policy then
-mirrors the real master's semantics: digests detect ``corrupt`` at
-receive (assign-side rejects ride the overtime check like a drop;
-result-side rejects charge the retry budget and requeue immediately);
-audits recompute a deterministic sample *from committed inputs*, so they
-convict exactly the own-fault taints — inherited taint recomputes to the
-same wrong values and passes, which is why conviction triggers taint
-recompute of the whole committed dependent closure; voting is modeled as
-full-coverage divergence detection at ``(vote_k - 1)`` extra round trips
-per commit (replicas disagree exactly when the producer's own result is
-wrong). Convicted nodes are quarantined past ``quarantine_threshold``.
-Taint that survives to the end of the run is counted in the
-``sim.undetected_corruptions`` metric — the simulator's omniscient stand-
-in for a wrong answer, which chaos campaigns use to classify runs.
+tainted inherits the taint ("garbage in"). The modelled verdicts feed
+the core: an audit convicts exactly the own-fault taints (it recomputes
+from committed inputs, so inherited taint passes — hence the closure
+invalidation), and voting is modelled as full-coverage divergence
+detection at ``(vote_k - 1)`` extra round trips per commit. Taint that
+survives to the end is counted in ``sim.undetected_corruptions`` — the
+simulator's omniscient stand-in for a wrong answer, which chaos
+campaigns classify on.
 """
 
 from __future__ import annotations
@@ -71,6 +61,7 @@ from repro.dag.partition import Partition
 from repro.dag.pattern import DAGPattern
 from repro.obs import EventRecorder, MetricsRegistry, ScheduleTracer, to_gantt_trace
 from repro.runtime.config import RunConfig
+from repro.runtime.core import Actions, MasterCore
 from repro.schedulers.policy import SchedulingPolicy, make_policy
 from repro.utils.errors import FaultToleranceExhausted, SchedulerError
 
@@ -146,9 +137,9 @@ class _Node:
     parked_since: Optional[float] = None
     tasks_done: int = 0
     #: Prefetched-but-not-yet-computing task (prefetch mode):
-    #: (bid, epoch, transfer_start, transfer_done).
-    pending: Optional[Tuple[TaskId, int, float, float]] = None
-    #: Permanently out of service (worker-death fault or blacklisted).
+    #: (bid, epoch, transfer_done).
+    pending: Optional[Tuple[TaskId, int, float]] = None
+    #: Permanently out of service (worker death, blacklist, quarantine).
     dead: bool = False
     #: Per-node message counters keying the message-fault plan.
     sent_index: int = 0
@@ -157,8 +148,53 @@ class _Node:
     slow_noted: bool = False
 
 
+class _ModelledJournal:
+    """The run's commit journal, charged in sim-time: each write is real
+    (``repro resume`` works on simulated runs) and occupies the master
+    CPU for ``journal_latency``, recorded as a modelled span."""
+
+    __slots__ = ("_journal", "_run")
+
+    def __init__(self, journal, run: "_SimulatedRun") -> None:
+        self._journal = journal
+        self._run = run
+
+    def _charge(self, kind: Optional[str], task_id, start: float, **data) -> None:
+        run = self._run
+        run.master_cpu_free = start + run.config.journal_latency
+        if kind is not None and run.obs is not None:
+            run.obs.emit(
+                kind, task_id, node=-1, scope="task",
+                t0=start, t1=run.master_cpu_free, **data,
+            )
+
+    def commit(self, task_id: TaskId, epoch: int, outputs, digest=None) -> int:
+        nbytes = self._journal.commit(task_id, epoch, outputs, digest=digest)
+        start = max(self._run.master_cpu_free, self._run.evq.now)
+        self._charge("journal-write", task_id, start, epoch=epoch, nbytes=nbytes)
+        return nbytes
+
+    def checkpoint(self, state, committed, attempts, **kw) -> int:
+        nbytes = self._journal.checkpoint(state, committed, attempts, **kw)
+        self._charge(
+            "checkpoint", None, self._run.master_cpu_free,
+            n_committed=len(committed), nbytes=nbytes,
+        )
+        return nbytes
+
+    def invalidate(self, task_ids) -> None:
+        self._journal.invalidate(task_ids)
+        self._charge(None, None, max(self._run.master_cpu_free, self._run.evq.now))
+
+    def __getattr__(self, name: str):
+        return getattr(self._journal, name)
+
+
 class _SimulatedRun:
     """One end-to-end simulated schedule."""
+
+    #: The decision core class (the explorer's seeded defects swap it).
+    core_class = MasterCore
 
     def __init__(
         self,
@@ -202,11 +238,6 @@ class _SimulatedRun:
         self.master_nic_free = 0.0
         self.master_cpu_free = 0.0
 
-        self.parser = DAGParser(self.partition.abstract)
-        self.ready: List[TaskId] = list(self.parser.computable())
-        self.attempts: Dict[TaskId, int] = {}
-        self.registered: Dict[TaskId, int] = {}  # live task -> epoch
-
         self._inner_memo: Dict[tuple, Tuple[float, float]] = {}
         self.makespan = 0.0
         self.busy_thread_seconds = 0.0
@@ -214,31 +245,17 @@ class _SimulatedRun:
         self.messages = 0
         self.bytes_to_slaves = 0
         self.bytes_to_master = 0
-        self.faults = 0
         self.idle_while_ready = 0.0
         self._last_account = 0.0
         self.failure: Optional[BaseException] = None
-        #: Chaos bookkeeping: injected fault count, which node each live
-        #: task was dispatched to (timeout attribution), per-node timeout
-        #: failures, and nodes retired by death/blacklist.
+        #: Injected chaos faults (message, worker and task level).
         self.faults_injected = 0
-        self.dispatched_to: Dict[TaskId, int] = {}
-        self.node_failures: Dict[int, int] = {}
-        self.blacklisted: List[int] = []
         #: SDC model: live (bid, epoch) dispatches that would return wrong
-        #: values, commits that are wrong, per-node conviction counts, and
-        #: nodes retired for divergent results (distinct from blacklist).
+        #: values and commits that are wrong. The simulator computes no
+        #: cell values, so corruption is tracked as taint.
         self.integrity = config.integrity_policy
         self.live_taint: Dict[Tuple[TaskId, int], str] = {}
         self.tainted_commits: Dict[TaskId, str] = {}
-        self.divergence: Dict[int, int] = {}
-        self.quarantined: List[int] = []
-        self.digest_rejects = 0
-        self.audits_passed = 0
-        self.audits_convicted = 0
-        self.taint_recomputes = 0
-        self.votes_cast = 0
-        self.vote_divergences = 0
         #: Telemetry stream stamped with *sim-time* (the event queue's
         #: clock) so exported traces draw the modeled schedule, and the
         #: happens-before log validated after the run (``verify``) — both
@@ -256,45 +273,31 @@ class _SimulatedRun:
             node=-1,
             scope="task",
         )
-        #: Durable-run state: committed task -> epoch, and the write-ahead
-        #: journal (None when journaling is off). Journal writes are
-        #: charged to the master CPU in sim-time (``journal_latency``).
-        self.committed: Dict[TaskId, int] = {}
-        if resume is not None:
-            # Replay the journal's committed prefix straight into the DAG
-            # parser. The committed set is downward-closed (tasks commit
-            # only after their predecessors), so topological order never
-            # hits a blocked vertex. Synthetic commit records go to the
-            # happens-before trace only — the obs stream distinguishes
-            # journaled from live commits for the resume invariants.
-            for bid in self.partition.abstract.topological_order():
-                if bid not in resume.committed:
-                    continue
-                self.parser.complete(bid)
-                if self.sched.trace is not None:
-                    self.sched.trace.record(
-                        "commit", bid, resume.committed[bid], -1, 0.0
-                    )
-            self.committed = dict(resume.committed)
-            self.attempts.update(resume.attempts)
-            self.ready = list(self.parser.computable())
-            if self.obs is not None:
-                self.obs.emit(
-                    "resume", None, node=-1, scope="task",
-                    n_committed=len(self.committed),
-                )
         from repro.backends.threads import open_journal
 
+        #: The write-ahead journal (None when journaling is off). The
+        #: simulator checkpoints no DP state — it computes no cells — just
+        #: the committed set and retry budgets.
         self.journal = open_journal(config, problem, resume, obs=self.obs)
-        if self.journal is not None:
-            # ``journal_degrade="checkpoint"`` rescue: the simulator's
-            # checkpoints carry no DP state (it computes no cells), just
-            # the committed set and retry budgets.
-            self.journal.bind_rescue(
-                lambda: self.journal.checkpoint(
-                    None, self.committed, dict(self.attempts)
-                )
-            )
+        #: The master's decisions: the same core the real backends run.
+        self.core: MasterCore = self.core_class(
+            self.partition.abstract,
+            n_workers=len(self.nodes),
+            sched=self.sched,
+            max_retries=config.max_retries,
+            task_timeout=config.task_timeout,
+            retry_backoff=config.retry_backoff,
+            retry_backoff_max=config.retry_backoff_max,
+            blacklist_threshold=config.blacklist_threshold,
+            integrity=self.integrity,
+            journal=(
+                _ModelledJournal(self.journal, self) if self.journal is not None else None
+            ),
+            committed=resume.committed if resume is not None else None,
+            attempts=resume.attempts if resume is not None else None,
+        )
+        self.core.replay(self.evq.now)
+        self.ready: List[TaskId] = list(self.core.parser.computable())
         #: task -> sim-time when it became dispatchable; consumed at
         #: assign time for the ``queue-wait`` span. Only kept while
         #: observing so the disabled path stays allocation-free.
@@ -362,14 +365,6 @@ class _SimulatedRun:
                 type=mtype, endpoint=f"node{k}",
             )
 
-    def _retire_node(self, k: int, kind: str, **data: object) -> None:
-        """Take node ``k`` permanently out of service (death/blacklist)."""
-        node = self.nodes[k]
-        node.dead = True
-        node.parked_since = None
-        if self.obs is not None:
-            self.obs.emit(kind, None, node=k, worker=k, scope="task", **data)
-
     def _node_idle(self, k: int) -> None:
         self._account()
         node = self.nodes[k]
@@ -381,52 +376,68 @@ class _SimulatedRun:
             # tasks. Its live registrations (if any) time out and
             # redistribute; all nodes dead ends in a clean abort.
             self.faults_injected += 1
-            self._retire_node(k, "worker-death", after_tasks=death_point)
+            node.dead, node.parked_since = True, None
+            if self.obs is not None:
+                self.obs.emit(
+                    "worker-death", None, node=k, worker=k, scope="task",
+                    after_tasks=death_point,
+                )
             return
+        # The idle announcement reaches the master: the node is alive.
+        self.core.heard(k, self.evq.now)
         if node.pending is not None:
             # Promote the prefetched task (its input already transferred).
-            bid, epoch, xfer_start, xfer_done = node.pending
+            bid, epoch, xfer_done = node.pending
             node.pending = None
             node.parked_since = None
-            if self.registered.get(bid) == epoch:
-                self._begin_compute(k, bid, epoch, xfer_start, max(self.evq.now, xfer_done))
+            if self.core.register.is_registered(bid, epoch):
+                self._begin_compute(k, [(bid, epoch)], max(self.evq.now, xfer_done))
                 self._try_prefetch(k)
                 return
             # Cancelled (timed out) while waiting: fall through to fresh work.
-        if self.config.batch_wave:
-            self._dispatch_wave(k)
-            return
-        idx = self.policy.select_index(k, self.ready)
-        picked: Optional[TaskId] = None if idx is None else self.ready.pop(idx)
-        if picked is None:
+        wave: List[TaskId] = []
+        while len(wave) < (self.config.max_batch if self.config.batch_wave else 1):
+            idx = self.policy.select_index(k, self.ready)
+            if idx is None:
+                break
+            wave.append(self.ready.pop(idx))
+        if not wave:
             node.parked_since = self.evq.now
             return
         node.parked_since = None
-        self._dispatch(k, picked)
+        self._dispatch(k, wave)
         self._try_prefetch(k)
 
-    def _reserve_transfer(self, k: int, bid: TaskId) -> Tuple[int, float, float]:
-        """Register a dispatch and reserve its input transfer; returns
-        (epoch, transfer_start, transfer_done)."""
+    def _reserve(self, k: int, wave: List[TaskId]) -> Tuple[List[Tuple[TaskId, int]], float]:
+        """Register each dispatch of ``wave`` (its own epoch and overtime
+        watch) and reserve ONE input transfer for the whole envelope;
+        returns the ``(task, epoch)`` parts and the transfer's end.
+
+        With ``batch_wave`` the wave is one BatchAssign: only the
+        link-model α term (one envelope, one master dispatch overhead,
+        2 messages instead of 2 per task) is amortized.
+        """
         now = self.evq.now
         node = self.nodes[k]
-        epoch = self.attempts.get(bid, 0)
-        self.attempts[bid] = epoch + 1
-        self.registered[bid] = epoch
-        self.dispatched_to[bid] = k
-        if self.sched.observing:
-            ready_at = self.ready_at.pop(bid, None)
-            if ready_at is not None:
-                self.sched.record(
-                    "queue-wait", bid, epoch, k, ts=now, t0=ready_at, t1=now,
-                )
-        if self.sched.enabled:
-            self.sched.record("assign", bid, epoch, k, ts=now)
-        if self.config.data_reuse:
-            in_bytes = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
-        else:
-            in_bytes = self.problem.input_bytes(self.partition, bid)
-        in_bytes += MESSAGE_ENVELOPE_BYTES
+        parts: List[Tuple[TaskId, int]] = []
+        in_each: List[int] = []
+        for bid in wave:
+            epoch = self.core.register.register(bid, k, now)
+            parts.append((bid, epoch))
+            if self.sched.enabled:
+                self.core.assigned(bid, epoch, k, now, self.ready_at.pop(bid, None))
+            if self.config.data_reuse:
+                nb = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
+            else:
+                nb = self.problem.input_bytes(self.partition, bid)
+            in_each.append(nb)
+            # Overtime watch (Fig 10): fires relative to dispatch time.
+            self.evq.at(
+                now + self.config.task_timeout,
+                lambda bid=bid, epoch=epoch: self._timeout(bid, epoch),
+                label=("timeout", bid, epoch),
+            )
+        in_bytes = MESSAGE_ENVELOPE_BYTES + sum(in_each)
         self.master_cpu_free = max(self.master_cpu_free, now) + self.cluster.master_overhead
         start = max(self.master_cpu_free, self.master_nic_free, node.nic_free)
         xfer = self.cluster.link.transfer_time(in_bytes)
@@ -437,57 +448,59 @@ class _SimulatedRun:
         if self.sched.observing:
             # The input transfer occupies [start, start + xfer) on the
             # link — recorded as a reserved span in sim-time.
-            self.sched.record(
-                "send", bid, epoch, k, node=k, ts=start,
-                t0=start, t1=start + xfer, nbytes=in_bytes,
-            )
-        # Overtime watch (Fig 10): fires relative to dispatch time.
-        self.evq.at(
-            now + self.config.task_timeout,
-            lambda bid=bid, epoch=epoch: self._timeout(bid, epoch),
-            label=("timeout", bid, epoch),
-        )
-        return epoch, start, start + xfer
+            if self.config.batch_wave:
+                self.sched.record(
+                    "batch-assemble", None, -1, k, node=k, ts=now,
+                    t0=now, t1=now, n_tasks=len(parts),
+                )
+            for (bid, epoch), nb in zip(parts, in_each):
+                self.sched.record(
+                    "send", bid, epoch, k, node=k, ts=start, t0=start, t1=start + xfer,
+                    nbytes=nb if self.config.batch_wave else in_bytes,
+                )
+        return parts, start + xfer
 
-    def _dispatch(self, k: int, bid: TaskId) -> None:
-        epoch, start, xfer_done = self._reserve_transfer(k, bid)
+    def _dispatch(self, k: int, wave: List[TaskId]) -> None:
+        parts, xfer_done = self._reserve(k, wave)
         node = self.nodes[k]
+        mtype = "BatchAssign" if self.config.batch_wave else "TaskAssign"
         rule = None
         if self.config.message_fault_plan:
             rule = self.config.message_fault_plan.decide(
-                "send", "TaskAssign", bid, node.sent_index, endpoint=k
+                "send", mtype, wave[0], node.sent_index, endpoint=k
             )
             node.sent_index += 1
         if rule is not None:
-            self._note_msg_fault(rule.kind, bid, epoch, k, "TaskAssign")
-            if rule.kind == "drop" or (
-                rule.kind == "corrupt" and self.integrity.digest_on
-            ):
-                # The assignment never arrives — dropped outright, or
-                # mutated with a now-stale digest that the slave verifies
-                # and rejects. Either way the node stays free (idle again
-                # once the wasted transfer slot passes) and the
-                # registration rides the overtime check to redistribution.
-                if rule.kind == "corrupt" and self.obs is not None:
+            bid0, ep0 = parts[0]
+            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
+            if rule.kind == "corrupt" and self.integrity.digest_on:
+                # The slave verifies per-subtask digests and rejects only
+                # the mutated element; the rest of the wave computes.
+                if self.obs is not None:
                     self.obs.emit(
-                        "digest-reject", bid, epoch=epoch, node=k,
+                        "digest-reject", bid0, epoch=ep0, node=k,
                         scope="message", hop="assign",
                     )
-                self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
-            if rule.kind in ("corrupt", "bitflip"):
+                parts = parts[1:]
+            elif rule.kind in ("corrupt", "bitflip"):
                 # Undetected input mutation: ``corrupt`` with digests off
                 # is consumed unverified; ``bitflip`` restamps a
                 # self-consistent digest either way. The node computes on
                 # garbage — its result will be wrong.
-                self.live_taint[(bid, epoch)] = f"assign-{rule.kind}"
+                self.live_taint[(bid0, ep0)] = f"assign-{rule.kind}"
+            if rule.kind == "drop" or not parts:
+                # Nothing left to compute: the node stays free (idle again
+                # once the wasted transfer slot passes) and every lost
+                # registration rides the overtime check to redistribution.
+                self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
+                return
             if rule.kind == "delay":
                 xfer_done += rule.delay
             elif rule.kind == "duplicate":
                 # The slave computes the copy too, but its second result
                 # is epoch-stale; one extra message models it.
                 self.messages += 1
-        self._begin_compute(k, bid, epoch, start, xfer_done)
+        self._begin_compute(k, parts, xfer_done)
 
     def _try_prefetch(self, k: int) -> None:
         """Overlap the next task's transfer with the running compute
@@ -501,168 +514,16 @@ class _SimulatedRun:
         idx = self.policy.select_index(k, self.ready)
         if idx is None:
             return
-        bid = self.ready.pop(idx)
-        epoch, start, xfer_done = self._reserve_transfer(k, bid)
-        node.pending = (bid, epoch, start, xfer_done)
+        parts, xfer_done = self._reserve(k, [self.ready.pop(idx)])
+        node.pending = (*parts[0], xfer_done)
 
     def _begin_compute(
-        self, k: int, bid: TaskId, epoch: int, xfer_start: float, compute_start: float
-    ) -> None:
-        node = self.nodes[k]
-        fault = self.config.fault_plan.lookup(bid, epoch)
-        compute, busy, nsub = self._inner(bid, node.spec)
-        compute += self.cluster.slave_overhead
-        slow = self.config.worker_fault_plan.slow_factor(k)
-        if slow > 1.0:
-            compute *= slow
-            if not node.slow_noted:
-                node.slow_noted = True
-                self.faults_injected += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "worker-slow", bid, epoch=epoch, node=k, worker=k,
-                        scope="task", factor=slow,
-                    )
-        if fault is not None and fault.kind == "crash":
-            crash_at = compute_start + 0.5 * compute
-            node.busy_until = crash_at
-            self.evq.at(crash_at, lambda k=k: self._node_idle(k), label=("idle", k))
-        elif fault is not None and fault.kind == "hang":
-            recover_at = compute_start + 2.0 * self.config.task_timeout
-            node.busy_until = recover_at
-            self.evq.at(recover_at, lambda k=k: self._node_idle(k), label=("idle", k))
-        else:
-            done = compute_start + compute
-            node.busy_until = done
-            if self.sched.observing:
-                self.sched.record(
-                    "compute", bid, epoch, k, node=k, ts=done,
-                    t0=compute_start, t1=done,
-                )
-            self.busy_thread_seconds += busy
-            self.n_subtasks += nsub
-            # NIC reservation for the result transfer happens when compute
-            # finishes, not now — reserving a future slot at dispatch time
-            # would wrongly serialize every other node's input transfer
-            # behind this task.
-            self.evq.at(
-                done,
-                lambda bid=bid, epoch=epoch, k=k: self._compute_done(bid, epoch, k),
-                label=("compute-done", bid, epoch, k),
-            )
-
-    # -- batched wavefront dispatch (``config.batch_wave``) -----------------------
-
-    def _dispatch_wave(self, k: int) -> None:
-        """Assign one BatchAssign-equivalent: up to ``max_batch`` eligible
-        ready tasks in ONE modeled envelope and ONE input transfer.
-
-        Per-subtask semantics are preserved exactly as in the real master:
-        every element registers its own epoch, gets its own timeout watch,
-        and commits (or faults) individually — only the link-model α term
-        (one envelope, one master dispatch overhead, 2 messages for the
-        whole wave instead of 2 per task) is amortized.
-        """
-        node = self.nodes[k]
-        wave: List[TaskId] = []
-        while len(wave) < self.config.max_batch:
-            idx = self.policy.select_index(k, self.ready)
-            if idx is None:
-                break
-            wave.append(self.ready.pop(idx))
-        if not wave:
-            node.parked_since = self.evq.now
-            return
-        node.parked_since = None
-        now = self.evq.now
-        in_bytes = MESSAGE_ENVELOPE_BYTES  # ONE envelope for the wave
-        in_each: List[int] = []
-        parts: List[Tuple[TaskId, int]] = []
-        for bid in wave:
-            epoch = self.attempts.get(bid, 0)
-            self.attempts[bid] = epoch + 1
-            self.registered[bid] = epoch
-            self.dispatched_to[bid] = k
-            parts.append((bid, epoch))
-            if self.sched.observing:
-                ready_at = self.ready_at.pop(bid, None)
-                if ready_at is not None:
-                    self.sched.record(
-                        "queue-wait", bid, epoch, k, ts=now, t0=ready_at, t1=now,
-                    )
-            if self.sched.enabled:
-                self.sched.record("assign", bid, epoch, k, ts=now)
-            if self.config.data_reuse:
-                nb = self.problem.cached_input_bytes(self.partition, bid, self.node_done[k])
-            else:
-                nb = self.problem.input_bytes(self.partition, bid)
-            in_bytes += nb
-            in_each.append(nb)
-            self.evq.at(
-                now + self.config.task_timeout,
-                lambda bid=bid, epoch=epoch: self._timeout(bid, epoch),
-                label=("timeout", bid, epoch),
-            )
-        # ONE dispatch overhead and ONE transfer for the whole wave.
-        self.master_cpu_free = max(self.master_cpu_free, now) + self.cluster.master_overhead
-        start = max(self.master_cpu_free, self.master_nic_free, node.nic_free)
-        xfer = self.cluster.link.transfer_time(in_bytes)
-        self.master_nic_free = start + xfer
-        node.nic_free = start + xfer
-        self.messages += 2  # idle signal + the batch assignment
-        self.bytes_to_slaves += in_bytes
-        if self.sched.observing:
-            self.sched.record(
-                "batch-assemble", None, -1, k, node=k, ts=now,
-                t0=now, t1=now, n_tasks=len(parts),
-            )
-            for (bid, epoch), nb in zip(parts, in_each):
-                self.sched.record(
-                    "send", bid, epoch, k, node=k, ts=start,
-                    t0=start, t1=start + xfer, nbytes=nb,
-                )
-        xfer_done = start + xfer
-        rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
-                "send", "BatchAssign", wave[0], node.sent_index, endpoint=k
-            )
-            node.sent_index += 1
-        if rule is not None:
-            bid0, ep0 = parts[0]
-            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchAssign")
-            if rule.kind == "drop":
-                # The whole envelope never arrives: every registration
-                # rides the overtime check to redistribution.
-                self.evq.at(xfer_done, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
-            if rule.kind == "corrupt" and self.integrity.digest_on:
-                # The slave verifies per-subtask digests and rejects only
-                # the mutated element; the rest of the wave computes.
-                if self.obs is not None:
-                    self.obs.emit(
-                        "digest-reject", bid0, epoch=ep0, node=k,
-                        scope="message", hop="assign",
-                    )
-                parts = parts[1:]
-                if not parts:
-                    self.evq.at(
-                        xfer_done, lambda k=k: self._node_idle(k), label=("idle", k)
-                    )
-                    return
-            elif rule.kind in ("corrupt", "bitflip"):
-                # Undetected input mutation of one element of the wave.
-                self.live_taint[(bid0, ep0)] = f"assign-{rule.kind}"
-            if rule.kind == "delay":
-                xfer_done += rule.delay
-            elif rule.kind == "duplicate":
-                self.messages += 1
-        self._begin_wave_compute(k, parts, xfer_done)
-
-    def _begin_wave_compute(
         self, k: int, parts: List[Tuple[TaskId, int]], compute_start: float
     ) -> None:
-        """Sequentially compute one assigned wave (per-subtask faults)."""
+        """Sequentially compute one assigned wave (per-subtask faults): a
+        "crash" costs half the compute and never answers, a "hang"
+        occupies the node for twice the timeout; either way that element
+        rides the overtime check while the rest of the wave computes."""
         node = self.nodes[k]
         slow = self.config.worker_fault_plan.slow_factor(k)
         t = compute_start
@@ -682,14 +543,9 @@ class _SimulatedRun:
                             scope="task", factor=slow,
                         )
             if fault is not None and fault.kind == "crash":
-                # This element dies half-way and is skipped — the rest of
-                # the wave still computes (per-subtask semantics); its
-                # registration rides the overtime check.
                 t += 0.5 * compute
                 continue
             if fault is not None and fault.kind == "hang":
-                # The element stalls past the deadline; skipped, recovered
-                # by its own timeout like the single-dispatch hang.
                 t += 2.0 * self.config.task_timeout
                 continue
             if self.sched.observing:
@@ -705,27 +561,37 @@ class _SimulatedRun:
         if not survivors:
             self.evq.at(t, lambda k=k: self._node_idle(k), label=("idle", k))
             return
+        # NIC reservation for the result transfer happens when compute
+        # finishes, not now — reserving a future slot at dispatch time
+        # would wrongly serialize every other node's input transfer
+        # behind this task.
+        bid0, ep0 = survivors[0]
         self.evq.at(
             t,
-            lambda: self._wave_done(k, survivors),
-            label=("wave-done", k, survivors[0][0], survivors[0][1]),
+            lambda: self._computed(k, survivors),
+            label=("wave-done", k, bid0, ep0)
+            if self.config.batch_wave
+            else ("compute-done", bid0, ep0, k),
         )
 
-    def _wave_done(self, k: int, parts: List[Tuple[TaskId, int]]) -> None:
-        """The wave finished computing: ship ONE BatchResult envelope."""
+    def _computed(self, k: int, parts: List[Tuple[TaskId, int]]) -> None:
+        """Compute finished on node ``k``: ship the results back in ONE
+        envelope (Fig 11 g/h)."""
         self._account()
         node = self.nodes[k]
+        bid0, ep0 = parts[0]
         lie_point = self.config.worker_fault_plan.lie_point(k)
         if lie_point is not None and node.tasks_done >= lie_point:
-            # Past its lie point the node perturbs every element it
-            # returns; each stays self-consistent on the wire.
+            # The lying node perturbs its outputs *before* digesting, so
+            # every result stays self-consistent on the wire — only audit
+            # or vote can convict it.
             self.faults_injected += 1
             for bid, epoch in parts:
                 self.live_taint[(bid, epoch)] = "worker-liar"
             if self.obs is not None:
                 self.obs.emit(
-                    "worker-liar", parts[0][0], epoch=parts[0][1], node=k,
-                    worker=k, scope="task", after_tasks=lie_point,
+                    "worker-liar", bid0, epoch=ep0, node=k, worker=k,
+                    scope="task", after_tasks=lie_point,
                 )
         out_bytes = MESSAGE_ENVELOPE_BYTES + sum(
             self.problem.output_bytes(self.partition, bid) for bid, _ in parts
@@ -735,30 +601,30 @@ class _SimulatedRun:
         node.nic_free = send_start + out_xfer
         self.master_nic_free = send_start + out_xfer
         node.busy_until = send_start + out_xfer
-        self.messages += 1  # ONE result envelope for the whole wave
+        self.messages += 1
         self.bytes_to_master += out_bytes
         arrive = send_start + out_xfer
         reject: Optional[Tuple[TaskId, int]] = None
+        mtype = "BatchResult" if self.config.batch_wave else "TaskResult"
         rule = None
         if self.config.message_fault_plan:
             rule = self.config.message_fault_plan.decide(
-                "recv", "BatchResult", parts[0][0], node.recv_index, endpoint=k
+                "recv", mtype, bid0, node.recv_index, endpoint=k
             )
             node.recv_index += 1
         if rule is not None:
-            bid0, ep0 = parts[0]
-            self._note_msg_fault(rule.kind, bid0, ep0, k, "BatchResult")
+            self._note_msg_fault(rule.kind, bid0, ep0, k, mtype)
             if rule.kind == "drop":
-                # The whole envelope is lost; every element rides the
-                # overtime check while the node serves on.
+                # The envelope never reaches the master: every element
+                # rides the overtime check while the node serves on.
                 self.evq.at(arrive, lambda k=k: self._node_idle(k), label=("idle", k))
                 return
             if rule.kind == "corrupt":
                 if self.integrity.digest_on:
                     # The master verifies per-subtask digests: the mutated
-                    # element is rejected (charged requeue), the rest of
-                    # the wave commits normally.
-                    reject = (bid0, ep0)
+                    # element is rejected (charged requeue at once, no
+                    # overtime wait), the rest commits normally.
+                    reject = parts[0]
                     parts = parts[1:]
                 else:
                     self.live_taint[(bid0, ep0)] = "result-corrupt"
@@ -767,190 +633,73 @@ class _SimulatedRun:
             if rule.kind == "delay":
                 arrive += rule.delay
             elif rule.kind == "duplicate":
-                self.messages += 1  # the echo lands element-wise stale
-        self.evq.at(
-            arrive,
-            lambda: self._batch_arrival(k, parts, reject),
-            label=("batch-result", k, parts[0][0] if parts else None),
-        )
+                self.messages += 1
+                if not self.config.batch_wave:
+                    # The echo lands epoch-stale (batch echoes are
+                    # element-wise stale and not modelled).
+                    self.evq.at(
+                        arrive,
+                        lambda: self._result_echo(bid0, ep0, k),
+                        label=("result-echo", bid0, ep0, k),
+                    )
+        if self.config.batch_wave:
+            label: tuple = ("batch-result", k, parts[0][0] if parts else None)
+        else:
+            label = ("digest-reject" if reject else "result", bid0, ep0, k)
+        self.evq.at(arrive, lambda: self._arrival(k, parts, reject), label=label)
 
-    def _batch_arrival(
+    def _arrival(
         self,
         k: int,
         parts: List[Tuple[TaskId, int]],
         reject: Optional[Tuple[TaskId, int]] = None,
     ) -> None:
-        """One BatchResult landed: commit every element, then go idle once."""
+        """The result envelope landed: commit every element, then the
+        node serves on (also after a stale drop)."""
         self._account()
         if reject is not None:
-            self._digest_reject_core(reject[0], reject[1], k)
+            # The master rejects the result whose digest went stale.
+            self.core.stats.digest_rejects += 1
+            if self.obs is not None:
+                self.obs.emit(
+                    "digest-reject", reject[0], epoch=reject[1], node=k,
+                    scope="message", hop="result",
+                )
+            self._apply(self.core.rejected(*reject))
         for bid, epoch in parts:
             self._commit_result(bid, epoch, k)
         self._node_idle(k)
 
-    def _compute_done(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Compute finished on node ``k``: ship the result back (Fig 11 g/h)."""
-        self._account()
-        node = self.nodes[k]
-        lie_point = self.config.worker_fault_plan.lie_point(k)
-        if lie_point is not None and node.tasks_done >= lie_point:
-            # The lying node perturbs its outputs *before* digesting, so
-            # the result is self-consistent on the wire — only audit or
-            # vote can convict it.
-            self.faults_injected += 1
-            self.live_taint[(bid, epoch)] = "worker-liar"
-            if self.obs is not None:
-                self.obs.emit(
-                    "worker-liar", bid, epoch=epoch, node=k, worker=k,
-                    scope="task", after_tasks=lie_point,
-                )
-        out_bytes = self.problem.output_bytes(self.partition, bid) + MESSAGE_ENVELOPE_BYTES
-        send_start = max(self.evq.now, node.nic_free, self.master_nic_free)
-        out_xfer = self.cluster.link.transfer_time(out_bytes)
-        node.nic_free = send_start + out_xfer
-        self.master_nic_free = send_start + out_xfer
-        node.busy_until = send_start + out_xfer
-        self.messages += 1
-        self.bytes_to_master += out_bytes
-        arrive = send_start + out_xfer
-        rule = None
-        if self.config.message_fault_plan:
-            rule = self.config.message_fault_plan.decide(
-                "recv", "TaskResult", bid, node.recv_index, endpoint=k
-            )
-            node.recv_index += 1
-        if rule is not None:
-            self._note_msg_fault(rule.kind, bid, epoch, k, "TaskResult")
-            if rule.kind == "drop":
-                # The result never reaches the master: the registration
-                # rides the overtime check; the node itself serves on.
-                self.evq.at(arrive, lambda k=k: self._node_idle(k), label=("idle", k))
-                return
-            if rule.kind == "corrupt":
-                if self.integrity.digest_on:
-                    # The master verifies the result digest on receive:
-                    # reject, charge the retry budget, requeue at once —
-                    # no overtime wait.
-                    self.evq.at(
-                        arrive,
-                        lambda: self._digest_reject(bid, epoch, k),
-                        label=("digest-reject", bid, epoch, k),
-                    )
-                    return
-                self.live_taint[(bid, epoch)] = "result-corrupt"
-            elif rule.kind == "bitflip":
-                self.live_taint[(bid, epoch)] = "result-bitflip"
-            if rule.kind == "delay":
-                arrive += rule.delay
-            elif rule.kind == "duplicate":
-                self.messages += 1
-                self.evq.at(
-                    arrive,
-                    lambda: self._result_echo(bid, epoch, k),
-                    label=("result-echo", bid, epoch, k),
-                )
-        self.evq.at(
-            arrive, lambda: self._result(bid, epoch, k), label=("result", bid, epoch, k)
-        )
-
     def _result_echo(self, bid: TaskId, epoch: int, k: int) -> None:
         """The second copy of a duplicated result: always epoch-stale by
         the time it lands (the first copy deregistered the task)."""
-        if self.registered.get(bid) != epoch and self.sched.enabled:
+        if not self.core.register.is_registered(bid, epoch) and self.sched.enabled:
             self.sched.record("stale-drop", bid, epoch, k, node=k)
 
-    def _digest_reject(self, bid: TaskId, epoch: int, k: int) -> None:
-        """A mutated result whose digest went stale: the master rejects it
-        at receive and requeues on the charged retry budget (mirroring the
-        real master — a link corrupting the same task forever must abort,
-        not livelock)."""
-        self._account()
-        self._digest_reject_core(bid, epoch, k)
-        self._node_idle(k)
-
-    def _digest_reject_core(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Reject one result without idling the node (shared between the
-        single-result path and a batch arrival, which idles once at the
-        end of the envelope)."""
-        if self.registered.get(bid) == epoch:
-            del self.registered[bid]
-            self.digest_rejects += 1
-            if self.obs is not None:
-                self.obs.emit(
-                    "digest-reject", bid, epoch=epoch, node=k,
-                    scope="message", hop="result",
-                )
-            charged = self.attempts.get(bid, 0)
-            if charged > self.config.max_retries + 1:
-                self.failure = FaultToleranceExhausted(
-                    f"sub-task {bid} rejected for digest mismatch after "
-                    f"{charged} dispatches (simulated)"
-                )
-            else:
-                self.faults += 1
-                if self.sched.enabled:
-                    self.sched.record("redistribute", bid, epoch)
-                self._requeue(bid)
-
-    def _result(self, bid: TaskId, epoch: int, k: int) -> None:
-        self._account()
-        self._commit_result(bid, epoch, k)
-        self._node_idle(k)  # the node serves on (also after a stale drop)
-
     def _commit_result(self, bid: TaskId, epoch: int, k: int) -> None:
-        """Land one result at the master: stale-drop or journal + commit +
-        integrity check + ready-wake. Shared between the single-result
-        path and a batch arrival; the caller idles the node afterwards."""
-        if self.registered.get(bid) != epoch:
-            if self.sched.enabled:
-                self.sched.record("stale-drop", bid, epoch, k, node=k)
+        """Land one result at the master: stale-drop, or commit through
+        the core plus the taint model, integrity checks and ready-wake.
+        Shared between the single-result path and a batch arrival; the
+        caller idles the node afterwards."""
+        if not self.core.accept(bid, epoch, k):
             return
-        del self.registered[bid]
         taint = self.live_taint.pop((bid, epoch), None)
         if taint is None:
             for p in self.partition.abstract.predecessors(bid):
                 if p in self.tainted_commits:
                     taint = "inherited"  # computed from wrong inputs
                     break
-        if self.journal is not None:
-            # Write-ahead of the (modeled) merge; the fsync'd append
-            # occupies the master CPU for ``journal_latency`` sim-seconds.
-            jbytes = self.journal.commit(bid, epoch, None)
-            j0 = max(self.master_cpu_free, self.evq.now)
-            self.master_cpu_free = j0 + self.config.journal_latency
-            if self.obs is not None:
-                # The modeled fsync'd append occupies [j0, j0 + latency)
-                # on the master CPU, in sim-time.
-                self.obs.emit(
-                    "journal-write", bid, epoch=epoch, node=-1, scope="task",
-                    t0=j0, t1=self.master_cpu_free, nbytes=jbytes,
-                )
-        self.committed[bid] = epoch
-        if self.sched.enabled:
-            if self.sched.observing:
-                out_bytes = (
-                    self.problem.output_bytes(self.partition, bid) + MESSAGE_ENVELOPE_BYTES
-                )
-                self.sched.record("result", bid, epoch, k, node=k, nbytes=out_bytes)
-            # Before parser.complete so successors' assigns serialize
-            # after this commit in the event log.
-            self.sched.record("commit", bid, epoch, k)
-        if self.journal is not None and self.journal.should_checkpoint():
-            nbytes = self.journal.checkpoint(None, self.committed, dict(self.attempts))
-            c0 = self.master_cpu_free
-            self.master_cpu_free += self.config.journal_latency
-            if self.obs is not None:
-                self.obs.emit(
-                    "checkpoint", None, node=-1, scope="task",
-                    t0=c0, t1=self.master_cpu_free,
-                    n_committed=len(self.committed), nbytes=nbytes,
-                )
+        if self.sched.observing:
+            out_bytes = (
+                self.problem.output_bytes(self.partition, bid) + MESSAGE_ENVELOPE_BYTES
+            )
+            self.sched.record("result", bid, epoch, k, node=k, nbytes=out_bytes)
+        fresh = self.core.commit(bid, epoch, k)
         self.nodes[k].tasks_done += 1
         self.node_done[k].add(bid)
         self.makespan = max(self.makespan, self.evq.now)
         if taint is not None:
             self.tainted_commits[bid] = taint
-        fresh = self.parser.complete(bid)
         if fresh:
             self.ready.extend(fresh)
             if self.obs is not None:
@@ -958,24 +707,13 @@ class _SimulatedRun:
                     self.ready_at[nb] = self.evq.now
         self._integrity_check(bid, epoch, k, taint)
         if self.ready:
-            for j, node in enumerate(self.nodes):
-                if node.parked_since is not None:
-                    self._node_idle(j)
-                else:
-                    self._try_prefetch(j)
+            self._wake()
 
     # -- integrity (SDC model) ----------------------------------------------------
 
     def _integrity_check(self, bid: TaskId, epoch: int, k: int, taint) -> None:
-        """Model the master's post-commit SDC defenses on one commit.
-
-        Both defenses recompute/replicate from *committed* predecessor
-        blocks, so they convict exactly the own-fault taints; inherited
-        taint reproduces the same wrong values and passes undetected —
-        which is why a conviction invalidates the whole committed
-        dependent closure rather than one block.
-        """
-        own_fault = taint is not None and taint != "inherited"
+        """Model the master's post-commit SDC defenses on one commit
+        (both convict exactly the own-fault taints)."""
         pol = self.integrity
         if pol.vote_on:
             # Vote model: ``vote_k`` replicas from distinct nodes, paid as
@@ -984,169 +722,78 @@ class _SimulatedRun:
             # wrong. (The real master's escalation-to-arbiter dance is
             # collapsed into the divergence verdict.)
             self.messages += 2 * (pol.vote_k - 1)
-            self.votes_cast += pol.vote_k
-            if own_fault:
-                self.vote_divergences += 1
+            self.core.stats.votes_cast += pol.vote_k
+            if taint is not None and taint != "inherited":
+                self.core.stats.vote_divergences += 1
                 if self.obs is not None:
                     self.obs.emit(
                         "vote-divergence", bid, epoch=epoch, node=k,
                         worker=k, scope="task",
                     )
-                self._convict(bid, epoch, k)
-            return
-        if pol.audit_on and pol.should_audit(bid):
-            # The audit recompute occupies the master CPU for one inner
-            # makespan (the same deterministic sample as the real master).
+                self._apply(self.core.convict(bid, k))
+        elif pol.audit_on:
+            self._run_due_audits()
+
+    def _run_due_audits(self) -> None:
+        """Run the core's due audits (all of them once the DAG is done).
+        Each recompute occupies the master CPU for one inner makespan;
+        the modelled verdict convicts exactly the own-fault taints."""
+        force = self.core.done
+        while self.failure is None:
+            due = self.core.next_audit(force)
+            if due is None:
+                return
+            bid, epoch, k, _ = due
             compute, _busy, _n = self._inner(bid, self.nodes[k].spec)
-            self.master_cpu_free = (
-                max(self.master_cpu_free, self.evq.now) + compute
+            self.master_cpu_free = max(self.master_cpu_free, self.evq.now) + compute
+            taint = self.tainted_commits.get(bid)
+            self._apply(
+                self.core.audited(bid, epoch, k, taint is None or taint == "inherited")
             )
-            if own_fault:
-                self.audits_convicted += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "audit-convict", bid, epoch=epoch, node=k,
-                        worker=k, scope="task",
-                    )
-                self._convict(bid, epoch, k)
-            else:
-                self.audits_passed += 1
-                if self.obs is not None:
-                    self.obs.emit(
-                        "audit-pass", bid, epoch=epoch, node=k, worker=k,
-                        scope="task",
-                    )
 
-    def _convict(self, bid: TaskId, epoch: int, k: int) -> None:
-        """A proven-wrong commit: taint-recompute its closure and count
-        the divergence against node ``k`` (quarantine past threshold)."""
-        self._taint_invalidate(bid)
-        n = self.divergence.get(k, 0) + 1
-        self.divergence[k] = n
-        if n >= self.integrity.quarantine_threshold and not self.nodes[k].dead:
-            self.quarantined.append(k)
-            self._retire_node(k, "quarantine", convictions=n)
-            for tbid, ep in list(self.registered.items()):
-                if self.dispatched_to.get(tbid) != k:
-                    continue
-                del self.registered[tbid]
-                if self.sched.enabled:
-                    self.sched.record("redistribute", tbid, ep)
-                self._requeue(tbid)
-
-    def _taint_invalidate(self, root: TaskId) -> None:
-        """Invalidate ``root`` and its committed dependent closure, then
-        requeue the recompute frontier (mirrors the real master's
-        DAG-aware taint recompute, journal records included)."""
-        pattern = self.partition.abstract
-        closure = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for s in pattern.successors(v):
-                if s in self.committed and s not in closure:
-                    closure.add(s)
-                    stack.append(s)
-        order = [v for v in pattern.topological_order() if v in closure]
-        if self.journal is not None:
-            self.journal.invalidate(order)
-            self.master_cpu_free = (
-                max(self.master_cpu_free, self.evq.now)
-                + self.config.journal_latency
-            )
-        for v in order:
-            self.committed.pop(v, None)
-            self.tainted_commits.pop(v, None)
-        self.taint_recomputes += len(order)
-        if self.obs is not None:
-            self.obs.emit(
-                "taint-invalidate", root, node=-1, scope="task",
-                n_tainted=len(order),
-            )
-        # Live dispatches fed from a now-invalidated block were extracted
-        # from tainted state: cancel them (their results land stale); the
-        # parser re-emits them once their predecessors recommit.
-        for tbid, ep in list(self.registered.items()):
-            if any(p not in self.committed for p in pattern.predecessors(tbid)):
-                del self.registered[tbid]
-                if self.sched.enabled:
-                    self.sched.record("redistribute", tbid, ep)
-        frontier = self.parser.invalidate(order)
-        self.ready = [
-            t for t in self.ready
-            if all(p in self.committed for p in pattern.predecessors(t))
-        ]
-        self.ready.extend(frontier)
-        if self.obs is not None:
-            for nb in frontier:
-                self.ready_at[nb] = self.evq.now
+    # -- recovery --------------------------------------------------------------------
 
     def _timeout(self, bid: TaskId, epoch: int) -> None:
         self._account()
-        if self.registered.get(bid) != epoch:
-            return  # completed in time
-        del self.registered[bid]
-        self._note_node_failure(self.dispatched_to.get(bid, -1))
-        attempts = self.attempts[bid]
-        if attempts > self.config.max_retries + 1:
-            self.failure = FaultToleranceExhausted(
-                f"sub-task {bid} failed {attempts} dispatches (simulated)"
-            )
+        self._apply(self.core.timed_out(bid, epoch, self.evq.now))
+
+    def _apply(self, acts: Optional[Actions]) -> None:
+        """Carry out the core's verdict on one event in sim-time."""
+        if acts is None:
             return
-        self.faults += 1
-        if self.sched.enabled:
-            self.sched.record("redistribute", bid, epoch)
-        delay = 0.0
-        if self.config.retry_backoff > 0:
-            delay = min(
-                self.config.retry_backoff * (2.0 ** max(0, attempts - 1)),
-                self.config.retry_backoff_max,
-            )
-        if delay > 0:
-            if self.obs is not None:
-                self.obs.emit(
-                    "backoff", bid, epoch=epoch, scope="task", delay=delay
-                )
+        for k in acts.retired:
+            self.nodes[k].dead, self.nodes[k].parked_since = True, None
+        for bid in acts.invalidated:
+            self.tainted_commits.pop(bid, None)
+        if acts.invalidated:
+            # Queued tasks whose inputs were just revoked re-surface as
+            # the closure recommits.
+            self.ready = [t for t in self.ready if self.core.inputs_committed(t)]
+        if acts.abort is not None:
+            self.failure = acts.abort
+        for delay, bid in acts.delayed:
             self.evq.at(
                 self.evq.now + delay,
-                lambda bid=bid: self._requeue(bid),
+                lambda bid=bid: self._requeue([bid]),
                 label=("requeue", bid),
             )
-        else:
-            self._requeue(bid)
+        if acts.ready:
+            self._requeue(acts.ready)
 
-    def _requeue(self, bid: TaskId) -> None:
-        """Put a recovered sub-task back on offer and wake parked nodes."""
-        self.ready.append(bid)
+    def _requeue(self, bids: List[TaskId]) -> None:
+        """Put recovered sub-tasks back on offer and wake parked nodes."""
+        self.ready.extend(bids)
         if self.obs is not None:
-            self.ready_at[bid] = self.evq.now
+            for bid in bids:
+                self.ready_at[bid] = self.evq.now
+        self._wake()
+
+    def _wake(self) -> None:
         for j, node in enumerate(self.nodes):
             if node.parked_since is not None:
                 self._node_idle(j)
             else:
                 self._try_prefetch(j)
-
-    def _note_node_failure(self, k: int) -> None:
-        """Blacklist node ``k`` past the failure threshold (never the last
-        surviving node); its live dispatches re-queue immediately."""
-        if self.config.blacklist_threshold is None or k < 0:
-            return
-        n = self.node_failures.get(k, 0) + 1
-        self.node_failures[k] = n
-        if n < self.config.blacklist_threshold or self.nodes[k].dead:
-            return
-        if sum(1 for nd in self.nodes if not nd.dead) <= 1:
-            return  # degradation floor
-        self.blacklisted.append(k)
-        self._retire_node(k, "blacklist", failures=n)
-        for bid, ep in list(self.registered.items()):
-            if self.dispatched_to.get(bid) != k:
-                continue
-            del self.registered[bid]
-            self.faults += 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", bid, ep)
-            self._requeue(bid)
 
     # -- driver -------------------------------------------------------------------------
 
@@ -1158,9 +805,8 @@ class _SimulatedRun:
             self.evq.at(0.0, lambda k=k: self._node_idle(k), label=("idle", k))
         try:
             self.evq.run()
-            if self.failure is None and self.parser.is_done():
-                if self.journal is not None:
-                    self.journal.end()
+            if self.failure is None and self.core.done:
+                self.core.finish()
         finally:
             # MasterCrash (the journal kill switch) and abort paths both
             # land here; the journal file must survive for `repro resume`.
@@ -1168,25 +814,27 @@ class _SimulatedRun:
                 self.journal.close()
         if self.failure is not None:
             raise self.failure
-        if not self.parser.is_done():
+        parser = self.core.parser
+        if not parser.is_done():
             if any(n.dead for n in self.nodes):
                 # Every path forward died with the nodes; the event queue
                 # drained, which is the simulator's version of "no
                 # progress" — abort cleanly, never silently stall.
                 raise FaultToleranceExhausted(
-                    f"simulation out of workers with {self.parser.n_remaining} "
+                    f"simulation out of workers with {parser.n_remaining} "
                     f"sub-tasks left ({sum(1 for n in self.nodes if n.dead)} "
                     f"of {len(self.nodes)} nodes lost)"
                 )
             raise SchedulerError(
-                f"simulation stalled with {self.parser.n_remaining} sub-tasks left"
+                f"simulation stalled with {parser.n_remaining} sub-tasks left"
             )
         self.sched.check(self.partition.abstract, title=f"simulated-trace({self.problem.name})")
+        stats = self.core.stats
         if self.metrics is not None:
             self.metrics.counter("sim.messages").inc(self.messages)
             self.metrics.counter("sim.bytes_to_slaves").inc(self.bytes_to_slaves)
             self.metrics.counter("sim.bytes_to_master").inc(self.bytes_to_master)
-            self.metrics.counter("sim.faults_recovered").inc(self.faults)
+            self.metrics.counter("sim.faults_recovered").inc(stats.faults_recovered)
             for k, n in enumerate(self.nodes):
                 self.metrics.counter("sim.tasks_completed", node=k).inc(n.tasks_done)
             self.metrics.gauge("sim.idle_while_ready").set(self.idle_while_ready)
@@ -1198,25 +846,7 @@ class _SimulatedRun:
                 len(self.tainted_commits)
             )
             if self.integrity.digest_on:
-                self.metrics.counter("integrity.digest_rejects").inc(
-                    self.digest_rejects
-                )
-                self.metrics.counter("integrity.audits_passed").inc(
-                    self.audits_passed
-                )
-                self.metrics.counter("integrity.audits_convicted").inc(
-                    self.audits_convicted
-                )
-                self.metrics.counter("integrity.tainted_recomputes").inc(
-                    self.taint_recomputes
-                )
-                self.metrics.counter("integrity.votes_cast").inc(self.votes_cast)
-                self.metrics.counter("integrity.vote_divergences").inc(
-                    self.vote_divergences
-                )
-                self.metrics.counter("integrity.quarantined_workers").inc(
-                    len(self.quarantined)
-                )
+                stats.publish_integrity(self.metrics)
         wall = _time.perf_counter() - wall_start
         total_threads = self.cluster.total_computing_threads
         events = self.obs.events() if self.obs is not None else None
@@ -1233,7 +863,7 @@ class _SimulatedRun:
             messages=self.messages,
             bytes_to_slaves=self.bytes_to_slaves,
             bytes_to_master=self.bytes_to_master,
-            faults_recovered=self.faults,
+            faults_recovered=stats.faults_recovered,
             tasks_per_worker={k: n.tasks_done for k, n in enumerate(self.nodes)},
             idle_while_ready=self.idle_while_ready,
             utilization=(
@@ -1243,12 +873,12 @@ class _SimulatedRun:
             ),
             total_flops=self.problem.total_flops(self.partition),
             total_cores=self.cluster.total_cores,
-            blacklisted_workers=tuple(self.blacklisted),
+            blacklisted_workers=tuple(stats.blacklisted_workers),
             faults_injected=self.faults_injected,
-            digest_rejects=self.digest_rejects,
-            audits_convicted=self.audits_convicted,
-            tainted_recomputes=self.taint_recomputes,
-            quarantined_workers=tuple(self.quarantined),
+            digest_rejects=stats.digest_rejects,
+            audits_convicted=stats.audits_convicted,
+            tainted_recomputes=stats.tainted_recomputes,
+            quarantined_workers=tuple(stats.quarantined_workers),
             trace=to_gantt_trace(events) if self.config.trace and events is not None else None,
             events=events,
             metrics=self.metrics.snapshot() if self.metrics is not None else None,

@@ -339,7 +339,7 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
             n.parked_since is not None,
             None
             if n.pending is None
-            else (n.pending[0], n.pending[1], _rel(n.pending[2], now), _rel(n.pending[3], now)),
+            else (n.pending[0], n.pending[1], _rel(n.pending[2], now)),
             n.sent_index,
             n.recv_index,
             _rel(n.busy_until, now) if n.busy_until > now else 0.0,
@@ -348,25 +348,28 @@ def _fingerprint(run: Any) -> Tuple[Any, ...]:
         for n in run.nodes
     )
     pending = tuple((_rel(w, now), repr(lbl)) for w, lbl in run.evq.pending_labels())
+    core = run.core
     return (
         nodes,
         pending,
         tuple(run.ready),
-        tuple(sorted(run.registered.items())),
-        tuple(sorted(run.attempts.items())),
-        tuple(sorted(run.committed.items())),
-        tuple(sorted(run.dispatched_to.items())),
+        tuple(sorted((t, r.epoch, r.worker_id) for t, r in core.register.live_snapshot())),
+        tuple(sorted(core.register.attempts_snapshot().items())),
+        tuple(sorted(core.committed.items())),
+        tuple(sorted(core.budget_exempt.items())),
         tuple(sorted(run.live_taint.items())),
         tuple(sorted(run.tainted_commits.items())),
-        tuple(run.blacklisted),
-        tuple(run.quarantined),
-        tuple(sorted(run.node_failures.items())),
-        tuple(sorted(run.divergence.items())),
+        tuple(core.stats.blacklisted_workers),
+        tuple(core.stats.quarantined_workers),
+        tuple(sorted(core.worker_failures.items())),
+        tuple(sorted(core.divergence.items())),
+        tuple(sorted((w, _rel(t, now)) for w, t in core.last_heard.items())),
+        tuple((core.commit_count - c, t, e, w) for c, t, e, w, _ in core.audit_pending),
         tuple(frozenset(s) for s in run.node_done),
         _rel(run.master_nic_free, now) if run.master_nic_free > now else 0.0,
         _rel(run.master_cpu_free, now) if run.master_cpu_free > now else 0.0,
         run.failure is not None,
-        run.parser.n_remaining,
+        core.parser.n_remaining,
     )
 
 
@@ -406,7 +409,7 @@ class _ReplayChooser:
         if label[0] == "timeout":
             # Overtime check of an epoch that already completed (or was
             # already redistributed): reads the register table, returns.
-            return run.registered.get(label[1]) != label[2]
+            return not run.core.register.is_registered(label[1], label[2])
         if label[0] == "idle":
             # Idle announcement of a dead node: returns immediately.
             return bool(run.nodes[label[1]].dead)
@@ -461,7 +464,7 @@ def _check_interleaving(
     complete = error is None and not partial
     if complete:
         report.checked += 1
-        missing = run.partition.n_blocks - len(run.committed)
+        missing = run.partition.n_blocks - len(run.core.committed)
         if missing:
             report.add(
                 D.EXPLORE_ORACLE_MISMATCH,
@@ -729,29 +732,31 @@ def check_exploration(
 
 
 def reorder_double_commit_model() -> type[Any]:
-    """A simulated run with a reordering-dependent double-commit defect.
+    """A simulated run whose master core has a reordering-dependent
+    double-commit defect.
 
-    The broken master merges a result whose epoch went stale — but only
-    when the overtime check fired *before* the (delayed) result arrived.
-    If the result is delivered first, the run is flawless. Randomized
-    chaos campaigns essentially never tie a result's arrival to its own
-    overtime check (delay 0.05 s against a 30 s timeout), so only
-    systematic delivery-order enumeration exposes the bug; the
-    ``delay-result-*`` scenarios construct exactly that tie.
+    The broken core's stale-epoch check accepts a result whose epoch went
+    stale — but only when the overtime check fired *before* the (delayed)
+    result arrived. If the result is delivered first, the run is
+    flawless. Randomized chaos campaigns essentially never tie a result's
+    arrival to its own overtime check (delay 0.05 s against a 30 s
+    timeout), so only systematic delivery-order enumeration exposes the
+    bug; the ``delay-result-*`` scenarios construct exactly that tie.
+    The defect is seeded into :class:`~repro.runtime.core.MasterCore` —
+    the code every backend ships — not into the simulator.
     """
     from repro.backends.simulated import _SimulatedRun
+    from repro.runtime.core import MasterCore
+
+    class _ReorderDoubleCommitCore(MasterCore):
+        def accept(self, task_id: Any, epoch: int, worker_id: int) -> bool:
+            if self.register.finish(task_id, epoch):
+                return True
+            # Defect: a stale result of a not-yet-committed task is
+            # merged instead of dropped.
+            return task_id not in self.committed
 
     class _ReorderDoubleCommitRun(_SimulatedRun):
-        def _result(self, bid: Any, epoch: int, k: int) -> None:
-            stale = self.registered.get(bid) != epoch
-            if stale and bid in self.attempts and self.committed.get(bid) != epoch:
-                # Defect: merge the stale result instead of dropping it.
-                self._account()
-                self.committed.setdefault(bid, epoch)
-                if self.sched.enabled:
-                    self.sched.record("commit", bid, epoch, k)
-                self._node_idle(k)
-                return
-            super()._result(bid, epoch, k)
+        core_class = _ReorderDoubleCommitCore
 
     return _ReorderDoubleCommitRun

@@ -147,8 +147,9 @@ def wire_message_kinds() -> Tuple[str, ...]:
 
 
 def build_protocol_spec() -> ProtocolSpec:
-    """The protocol as implemented by ``runtime/master.py``,
-    ``runtime/slave.py`` and mirrored by ``backends/simulated.py``."""
+    """The protocol as implemented by ``runtime/slave.py`` and the master
+    decision core (``runtime/core.py``) that ``runtime/master.py`` and
+    ``backends/simulated.py`` both run."""
     slave = RoleSpec(
         name="slave",
         initial="announcing",

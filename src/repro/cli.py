@@ -403,16 +403,10 @@ def cmd_perf(args: argparse.Namespace) -> int:
             if args.max_makespan_regress is not None
             else trajectory.DEFAULT_MAKESPAN_REGRESS
         )
-        max_b = (
-            args.max_bytes_regress
-            if args.max_bytes_regress is not None
-            else trajectory.DEFAULT_BYTES_REGRESS
-        )
         try:
             result = trajectory.check_against(
                 args.against,
                 max_makespan_regress=max_ms,
-                max_bytes_regress=max_b,
                 measured=measured,
             )
         except ConfigError as exc:
@@ -849,11 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="allowed fractional makespan regression (default 0.75; "
              "real backends compare as ratios to serial)",
-    )
-    perf_p.add_argument(
-        "--max-bytes-regress", type=float, metavar="FRAC", default=None,
-        help="allowed fractional increase of deterministic wire counters "
-             "(default 0: none)",
     )
     perf_p.set_defaults(fn=cmd_perf)
 

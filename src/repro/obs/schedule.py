@@ -24,6 +24,7 @@ from typing import Optional
 
 from repro.check.trace_check import EVENT_KINDS, TraceRecorder, check_trace
 from repro.comm.messages import TaskId
+from repro.comm.serialization import content_digest
 from repro.dag.pattern import DAGPattern
 from repro.obs.clock import Clock, ensure_clock
 from repro.obs.recorder import NULL_RECORDER, EventRecorder
@@ -107,6 +108,25 @@ class ScheduleTracer:
                 **data,
             )
 
+    def digest(self, payload, task_id: TaskId, epoch: int, worker: int, hop: str) -> str:
+        """``content_digest(payload)``, recorded as a ``digest-compute``
+        span labelled ``hop`` when observing."""
+        if not self.observing:
+            return content_digest(payload)
+        t0 = self.clock.now()
+        digest = content_digest(payload)
+        t1 = self.clock.now()
+        self.record("digest-compute", task_id, epoch, worker, ts=t1, t0=t0, t1=t1, hop=hop)
+        return digest
+
+    def timed(self, journal):
+        """``journal`` wrapped so its writes record ``journal-write`` and
+        ``checkpoint`` spans on this tracer's clock (unchanged when not
+        observing or when there is no journal)."""
+        if journal is None or not self.observing:
+            return journal
+        return _TimedJournal(journal, self)
+
     # -- epilogue --------------------------------------------------------------
 
     def check(self, pattern: DAGPattern, title: str) -> None:
@@ -120,3 +140,36 @@ class ScheduleTracer:
             f"ScheduleTracer(scope={self.scope!r}, node={self.node}, "
             f"verify={self.verify}, observing={self.observing})"
         )
+
+
+class _TimedJournal:
+    """Commit-journal proxy that times its record writes (see
+    :meth:`ScheduleTracer.timed`); everything else passes through."""
+
+    __slots__ = ("_journal", "_sched")
+
+    def __init__(self, journal, sched: ScheduleTracer) -> None:
+        self._journal = journal
+        self._sched = sched
+
+    def commit(self, task_id: TaskId, epoch: int, outputs, digest=None) -> int:
+        t0 = self._sched.now()
+        nbytes = self._journal.commit(task_id, epoch, outputs, digest=digest)
+        t1 = self._sched.now()
+        self._sched.record(
+            "journal-write", task_id, epoch, ts=t1, t0=t0, t1=t1, nbytes=nbytes
+        )
+        return nbytes
+
+    def checkpoint(self, state, committed, attempts, **kw) -> int:
+        t0 = self._sched.now()
+        nbytes = self._journal.checkpoint(state, committed, attempts, **kw)
+        t1 = self._sched.now()
+        self._sched.record(
+            "checkpoint", None, -1, ts=t1, t0=t0, t1=t1,
+            n_committed=len(committed), nbytes=nbytes,
+        )
+        return nbytes
+
+    def __getattr__(self, name: str):
+        return getattr(self._journal, name)

@@ -6,53 +6,21 @@ Thread layout follows the paper:
   answering idle signals with computable sub-tasks (or the end signal)
   and collecting results onto the finished sub-task stack;
 - the *master scheduling thread* (the caller of :meth:`MasterPart.run`)
-  drains the finished stack, updates the master DAG pattern, and pushes
-  newly computable sub-tasks onto the computable stack;
-- the *fault-tolerance thread* watches the master overtime queue: a
-  sub-task that misses its deadline while still registered is
-  unregistered and redistributed (Fig 10); a sub-task that exhausts its
-  retry budget aborts the run with :class:`FaultToleranceExhausted`.
+  drains the finished stack, commits, and pushes newly computable
+  sub-tasks onto the computable stack;
+- the *fault-tolerance thread* watches the overtime queue and the
+  liveness leases, holds backoff-delayed re-dispatches, speculatively
+  re-dispatches stragglers (``speculate``; never charged to the retry
+  budget), and aborts cleanly when nothing progressed for
+  ``stall_timeout`` seconds instead of hanging.
 
-Results that arrive after their registration was cancelled carry a stale
-epoch and are dropped — the register-table check of Fig 9 step h.
-
-The fault-tolerance thread additionally hardens the paper's mechanism
-(all off by default, see :class:`~repro.runtime.config.RunConfig`):
-
-- **exponential backoff** — re-dispatch of a timed-out sub-task waits
-  ``retry_backoff * 2**(attempts-1)`` seconds (capped) instead of
-  re-queueing instantly, so a persistently failing resource is not
-  hammered;
-- **speculative re-dispatch** — a live dispatch older than a multiple of
-  the observed duration quantile is cancelled and re-queued early
-  (straggler mitigation); such cancels do not count against the retry
-  budget;
-- **blacklisting** — a worker exceeding a timeout-failure threshold stops
-  receiving work and its in-flight dispatches are re-queued, degrading
-  gracefully down to a single surviving worker;
-- **stall watchdog** — if nothing is live and nothing progressed for
-  ``stall_timeout`` seconds (every worker lost, every message dropped),
-  the run aborts with a clean :class:`FaultToleranceExhausted` rather
-  than hanging.
-
-Result integrity (:mod:`repro.integrity`, ``RunConfig.integrity``) layers
-silent-data-corruption defenses over the same scheduling loop:
-
-- **digest** — every TaskAssign/TaskResult carries a canonical content
-  digest; a result whose payload no longer matches is rejected at
-  receive and redistributed (in-transit corruption);
-- **audit** — a deterministic sample of commits is recomputed by the
-  master a few commits later; a conviction revokes the committed block
-  *and its committed dependent closure* (taint recompute) through
-  :meth:`DAGParser.invalidate` and the journal's invalidation records;
-- **vote** — every sub-task is dispatched to ``vote_k`` distinct workers
-  and committed only on a digest majority, escalating one voter at a
-  time on divergence (the master recomputes as arbiter when no fresh
-  worker remains);
-- **quarantine** — a worker convicted of divergent results too often is
-  retired. Unlike the blacklist this ignores liveness: a lying worker
-  still heartbeats, so only semantic conviction removes it. Quarantining
-  the last worker aborts cleanly.
+Every decision these threads act on — stale-epoch drops, commits, the
+budgeted requeue and its backoff, blacklisting, audits, quarantine,
+taint invalidation, journal replay — is made by the shared
+:class:`~repro.runtime.core.MasterCore`. This module is the threaded
+shell around it: channels, leases, speculation, batched dispatch, the
+duplicate-dispatch vote ledger (``integrity='vote'``), the master's own
+audit recomputes, and shm block release.
 
 Note that a taint recompute legitimately commits a task twice; the
 strict happens-before trace validator (``verify=True``) flags the second
@@ -73,7 +41,6 @@ import numpy as np
 
 from repro.algorithms.problem import DPProblem
 from repro.check.lock_lint import make_lock
-from repro.check.trace_check import TraceRecorder
 from repro.comm.messages import (
     BatchAssign,
     BatchResult,
@@ -85,24 +52,23 @@ from repro.comm.messages import (
     TaskResult,
     WorkerLeave,
 )
-from repro.comm.serialization import content_digest, message_nbytes
+from repro.comm.serialization import message_nbytes
 from repro.comm.shm import BlockStore
 from repro.comm.transport import Channel, ChannelClosed, ChannelTimeout
-from repro.dag.parser import DAGParser
 from repro.dag.partition import Partition
 from repro.durable.journal import CommitJournal
-from repro.integrity import IntegrityPolicy, fold_commit, run_digest_hex
+from repro.integrity import IntegrityPolicy
 from repro.obs.clock import Clock
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import EventRecorder
 from repro.obs.schedule import ScheduleTracer
+from repro.runtime.core import Actions, CoreStats, MasterCore
 from repro.runtime.worker_pool import (
     ComputableStack,
     FinishedStack,
     LeaseTable,
     OvertimeEntry,
     OvertimeQueue,
-    RegisterTable,
 )
 from repro.schedulers.policy import SchedulingPolicy
 from repro.utils.errors import (
@@ -120,10 +86,9 @@ _RETIRED = object()
 
 
 @dataclass
-class MasterStats:
-    """Counters gathered while the master ran."""
+class MasterStats(CoreStats):
+    """Counters gathered while the master ran (the core's included)."""
 
-    faults_recovered: int = 0
     stale_results: int = 0
     tasks_per_worker: Dict[int, int] = field(default_factory=dict)
     messages: int = 0
@@ -131,35 +96,10 @@ class MasterStats:
     bytes_to_master: int = 0
     #: Straggler dispatches cancelled and re-queued before their timeout.
     speculative_redispatches: int = 0
-    #: Workers retired for exceeding the failure threshold, in order.
-    blacklisted_workers: List[int] = field(default_factory=list)
     #: Service/fault-tolerance threads that outlived their join timeout.
     worker_leaks: int = 0
-    #: Compacted journal checkpoints written during the run.
-    checkpoints: int = 0
-    #: Sub-tasks skipped on resume because the journal already held them.
-    resumed_commits: int = 0
-    #: Dispatches cancelled because their liveness lease expired.
-    lease_expirations: int = 0
     #: Workers that joined mid-run (elastic membership).
     workers_joined: int = 0
-    #: Workers that left cleanly mid-run (WorkerLeave).
-    workers_left: int = 0
-    #: TaskResults whose payload failed receive-side digest verification.
-    digest_rejects: int = 0
-    #: Sampled audit recomputes that matched the committed outputs.
-    audits_passed: int = 0
-    #: Sampled audit recomputes that convicted a committed block.
-    audits_convicted: int = 0
-    #: Commits revoked for recompute by taint invalidation (closures
-    #: included — one conviction may revoke many commits).
-    tainted_recomputes: int = 0
-    #: Votes recorded in ``integrity='vote'`` mode (arbiter included).
-    votes_cast: int = 0
-    #: Vote rounds that ended without a strict majority and escalated.
-    vote_divergences: int = 0
-    #: Workers retired for divergent results (SDC quarantine), in order.
-    quarantined_workers: List[int] = field(default_factory=list)
     #: Rolling run digest (hex) after the last commit; None when
     #: integrity is off.
     run_digest: Optional[str] = None
@@ -193,7 +133,6 @@ class MasterPart:
         blacklist_threshold: Optional[int] = None,
         stall_timeout: Optional[float] = None,
         verify: bool = False,
-        tracer: Optional[TraceRecorder] = None,
         clock: Optional[Clock] = None,
         obs: Optional[EventRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -225,14 +164,10 @@ class MasterPart:
         self.channels = list(channels)
         self.policy = policy
         self.task_timeout = task_timeout
-        self.max_retries = max_retries
         self.poll_interval = poll_interval
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
         self.speculate = speculate
         self.speculative_factor = speculative_factor
         self.speculative_quantile = speculative_quantile
-        self.blacklist_threshold = blacklist_threshold
         self.stall_timeout = (
             stall_timeout if stall_timeout is not None else 2.0 * task_timeout + 1.0
         )
@@ -262,12 +197,13 @@ class MasterPart:
         #: (``verify``), the telemetry event stream (``obs``), and the
         #: injected clock — see :mod:`repro.obs.schedule`.
         self.sched = ScheduleTracer(
-            clock=clock, verify=verify, trace=tracer, obs=obs, node=-1, scope="task"
+            clock=clock, verify=verify, obs=obs, node=-1, scope="task"
         )
         self.clock = self.sched.clock
         self.metrics = metrics
 
         self.state: Dict[str, np.ndarray] = {}
+        self._initial_state = initial_state
         self.stats = MasterStats()
         self._state_lock = make_lock("master.state")
         self._results_lock = make_lock("master.results")
@@ -283,23 +219,8 @@ class MasterPart:
         )
         self._finished = FinishedStack()
         self._overtime = OvertimeQueue()
-        self._register = RegisterTable()
         self._end = threading.Event()
         self._failure: List[BaseException] = []
-        #: Workers retired from service; read by the per-slave threads
-        #: (set-membership only), mutated only by the fault-tolerance
-        #: thread — safe without a lock under the GIL.
-        self._blacklisted: set = set()
-        self._worker_failures: Dict[int, int] = {}
-        #: Last wall-clock moment each worker was heard from (any message).
-        #: The blacklist consults this as a liveness oracle: a worker that
-        #: keeps announcing itself is alive, and its timeouts are message
-        #: loss — blacklisting is reserved for workers that went silent.
-        self._last_heard: Dict[int, float] = {}
-        #: Per-task count of cancels that do NOT charge the retry budget
-        #: (speculation, blacklist evictions) — the exhaustion check uses
-        #: ``attempts - exempt``.
-        self._budget_exempt: Dict[TaskId, int] = {}
         #: Tasks already speculated once (speculation is capped at one
         #: early re-dispatch per task).
         self._speculated: set = set()
@@ -311,38 +232,6 @@ class MasterPart:
         #: assignment is GIL-atomic.
         self._last_progress: float = self.clock.now()
 
-        #: Write-ahead commit journal (:mod:`repro.durable`); every commit
-        #: is journaled *before* it merges into state, so a master crash
-        #: at any point loses at most the in-flight (uncommitted) work.
-        #: Usually a :class:`~repro.durable.degrade.JournalGuard` (the
-        #: backends wrap it), but a bare :class:`CommitJournal` works too
-        #: — the rescue binding below is then simply skipped.
-        self.journal = journal
-        bind_rescue = getattr(journal, "bind_rescue", None)
-        if bind_rescue is not None:
-            # ``journal_degrade="checkpoint"``: a failed record write may
-            # be rescued by compacting the journal around a full state
-            # checkpoint, which needs this master's state snapshot.
-            bind_rescue(self._write_checkpoint)
-        #: task -> epoch of commits recovered from a journal (resume);
-        #: these are replayed into the DAG parser, never re-dispatched.
-        self._prior_commits: Dict[TaskId, int] = dict(completed) if completed else {}
-        self._initial_state = initial_state
-        if attempts:
-            # Retry budgets continue across the crash: epochs must outpace
-            # any result a surviving slave still holds from before it.
-            self._register.prime(attempts)
-        #: All commits of this run, prior + live (checkpoints persist it).
-        self._committed: Dict[TaskId, int] = dict(self._prior_commits)
-
-        #: Heartbeat/lease liveness (None = the paper's inference-only
-        #: liveness): leases span ``heartbeat_interval * lease_factor``
-        #: and are renewed by *any* message from the holding worker.
-        self._lease_duration: Optional[float] = (
-            None if heartbeat_interval is None else heartbeat_interval * lease_factor
-        )
-        self._leases = LeaseTable()
-
         #: Result-integrity policy (:mod:`repro.integrity`): receive-side
         #: digest verification plus the audit/vote SDC defenses.
         self.integrity = IntegrityPolicy(
@@ -352,54 +241,55 @@ class MasterPart:
             quarantine_threshold=quarantine_threshold,
         )
         self._digest_on = self.integrity.digest_on
-        #: Rolling run digest: an order-independent fold over every live
-        #: commit's ``(task_id, outputs digest)``, continued from the
-        #: journal on resume. Only maintained when digests are on — the
-        #: disabled path computes no hashes at all.
-        self._run_digest_acc: int = int(run_digest, 16) if run_digest else 0
-        #: task -> outputs digest of every folded commit, needed to fold a
-        #: taint invalidation back *out* and persisted in checkpoints.
-        self._commit_digests: Dict[TaskId, Optional[str]] = (
-            dict(commit_digests) if commit_digests else {}
+        #: Write-ahead commit journal (:mod:`repro.durable`).
+        self.journal = journal
+        #: The decision core (:mod:`repro.runtime.core`). Its retired-
+        #: worker set is read by the service threads by membership only,
+        #: which is GIL-safe.
+        self.core = MasterCore(
+            partition.abstract,
+            n_workers=len(self.channels),
+            sched=self.sched,
+            max_retries=max_retries,
+            task_timeout=task_timeout,
+            retry_backoff=retry_backoff,
+            retry_backoff_max=retry_backoff_max,
+            blacklist_threshold=blacklist_threshold,
+            integrity=self.integrity,
+            fold_digests=self._digest_on,
+            journal=self.sched.timed(journal),
+            merge=self._merge,
+            snapshot=self._snapshot,
+            committed=completed,
+            attempts=attempts,
+            run_digest=run_digest,
+            commit_digests=commit_digests,
+            stats=self.stats,
         )
+        self._register = self.core.register
+
+        #: Heartbeat/lease liveness (None = the paper's inference-only
+        #: liveness): leases span ``heartbeat_interval * lease_factor``
+        #: and are renewed by *any* message from the holding worker.
+        self._lease_duration: Optional[float] = (
+            None if heartbeat_interval is None else heartbeat_interval * lease_factor
+        )
+        self._leases = LeaseTable()
+
         #: TaskResults that passed receive-side digest verification
         #: (guarded by ``_results_lock`` — service threads share it).
         self._digests_verified = 0
-        #: Deferred audit queue: ``(commit_count, task, epoch, worker,
-        #: outputs)``. Audits deliberately lag a few commits behind
-        #: (:data:`_AUDIT_LAG`) so a conviction exercises closure
-        #: invalidation, not just the convicted block.
-        self._audit_pending: List[tuple] = []
-        self._commit_count = 0
         #: Vote ledger (``integrity='vote'``): task -> worker ->
         #: ``(digest, outputs, epoch)``. Worker -1 is the master's own
         #: arbiter recompute. Scheduling-thread only.
         self._votes: Dict[TaskId, Dict[int, tuple]] = {}
         #: Votes a task needs before tallying (escalates on divergence).
         self._vote_need: Dict[TaskId, int] = {}
-        #: Per-worker count of convicted divergences (audit convictions
-        #: and losing vote minorities) feeding the quarantine threshold.
-        self._divergence: Dict[int, int] = {}
-        #: Workers retired for divergent results. Distinct from the
-        #: blacklist: the blacklist needs silence (its liveness oracle
-        #: protects anything that still heartbeats), while a lying worker
-        #: is perfectly alive — only semantic conviction lands here.
-        self._quarantined: set = set()
 
-        #: Elastic membership: workers that announced a clean departure
-        #: (WorkerLeave) — mutated by service threads, set-membership reads
-        #: are GIL-safe like ``_blacklisted``.
-        self._left: set = set()
         #: Service threads for workers attached mid-run; guarded by the
         #: membership lock together with ``channels`` growth.
         self._extra_threads: List[threading.Thread] = []
         self._membership_lock = make_lock("master.membership")
-
-    @property
-    def tracer(self) -> Optional[TraceRecorder]:
-        """The happens-before trace recorder (None unless verifying or
-        injected) — kept for callers of the pre-obs API."""
-        return self.sched.trace
 
     def _make_depth_observer(self):
         """Queue-depth instrumentation for the computable stack (None —
@@ -432,19 +322,41 @@ class MasterPart:
         if self.block_store is not None:
             self.block_store.release_owner(task_id)
 
-    def _timed_digest(
-        self, payload, task_id: TaskId, epoch: int, worker_id: int, hop: str
-    ):
-        """``content_digest`` plus a ``digest-compute`` span when observing."""
-        if not self.sched.observing:
-            return content_digest(payload)
-        t0 = self.clock.now()
-        digest = content_digest(payload)
-        t1 = self.clock.now()
-        self.sched.record(
-            "digest-compute", task_id, epoch, worker_id, ts=t1, t0=t0, t1=t1, hop=hop
-        )
-        return digest
+    def _merge(self, task_id: TaskId, outputs) -> None:
+        with self._state_lock:
+            self.problem.apply_result(self.state, self.partition, task_id, outputs)
+
+    def _snapshot(self) -> Dict[str, np.ndarray]:
+        with self._state_lock:
+            return {k: np.array(v, copy=True) for k, v in self.state.items()}
+
+    def _apply(self, acts: Actions) -> bool:
+        """Carry out the core's verdict on one event (any thread):
+        settle cancelled dispatches, drop work computed from revoked
+        blocks, and put re-queued tasks back on offer. Returns False when
+        the verdict aborted the run. Delayed re-queues are the
+        fault-tolerance thread's to schedule."""
+        for task_id, epoch in acts.cancelled:
+            self._leases.drop(task_id, epoch)
+            self._release_blocks(task_id)
+        if acts.invalidated:
+            # Queued-but-uncommitted results, half-gathered votes and
+            # stacked tasks that consumed revoked inputs are stale; they
+            # re-surface as the closure recommits.
+            fresh = self.core.inputs_committed
+            with self._results_lock:
+                for task_id in [t for t in self._result_buffer if not fresh(t)]:
+                    del self._result_buffer[task_id]
+            for task_id in [t for t in self._votes if not fresh(t)]:
+                self._votes.pop(task_id)
+                self._vote_need.pop(task_id, None)
+            self._stack.retain(fresh)
+        if acts.ready:
+            self._stack.push_many(acts.ready)
+        if acts.abort is not None:
+            self._abort(acts.abort)
+            return False
+        return True
 
     # -- public entry ----------------------------------------------------------
 
@@ -455,10 +367,9 @@ class MasterPart:
             if self._initial_state is None
             else self._initial_state
         )
-        parser = DAGParser(self.partition.abstract)
-        if self._prior_commits:
-            self._replay_prior_commits(parser)
-        self._stack.push_many(parser.computable())
+        core = self.core
+        core.replay(self.clock.now())
+        self._stack.push_many(core.parser.computable())
 
         workers = [
             threading.Thread(
@@ -478,11 +389,11 @@ class MasterPart:
             while True:
                 if self._failure:
                     break
-                if self._audit_pending:
-                    self._run_due_audits(parser, force=parser.is_done())
+                if core.audit_pending:
+                    self._run_due_audits(force=core.done)
                     if self._failure:
                         break
-                if parser.is_done() and not self._audit_pending:
+                if core.done and not core.audit_pending:
                     break
                 task_id = self._finished.pop(timeout=self.poll_interval)
                 if task_id is None:
@@ -492,7 +403,7 @@ class MasterPart:
                 if entry is None:
                     continue  # purged by a taint invalidation while queued
                 outputs, epoch, worker_id, digest = entry
-                if task_id in self._committed:
+                if task_id in core.committed:
                     continue  # late duplicate of an already-committed task
                 if self.integrity.vote_on:
                     decision = self._record_vote(
@@ -503,13 +414,11 @@ class MasterPart:
                     outputs, epoch, worker_id, digest = decision
                     if self._failure:
                         break  # the deciding tally quarantined the pool
-                self._commit(parser, task_id, outputs, epoch, worker_id, digest)
-            if self.journal is not None and not self._failure and parser.is_done():
-                self.journal.end(
-                    run_digest=run_digest_hex(self._run_digest_acc)
-                    if self._digest_on
-                    else None
-                )
+                ready = core.commit(task_id, epoch, worker_id, outputs, digest)
+                self._release_blocks(task_id)
+                self._stack.push_many(ready)
+            if not self._failure and core.done:
+                core.finish()
         finally:
             # Fig 9 step i: tear down pools and signal every slave to end.
             self._end.set()
@@ -540,8 +449,7 @@ class MasterPart:
                 self.stats.messages += ch.sent_messages + ch.received_messages
                 self.stats.bytes_to_slaves += ch.sent_bytes
                 self.stats.bytes_to_master += ch.received_bytes
-            if self._digest_on:
-                self.stats.run_digest = run_digest_hex(self._run_digest_acc)
+            self.stats.run_digest = core.run_digest
             if self.metrics is not None:
                 self._publish_metrics()
         if self._failure:
@@ -551,137 +459,28 @@ class MasterPart:
         )
         return self.state
 
-    def _replay_prior_commits(self, parser: DAGParser) -> None:
-        """Prime the DAG parser (and the happens-before trace) with the
-        commits recovered from the journal.
+    # -- result integrity (audit / vote recomputes) --------------------------------------
 
-        The committed set is downward-closed — a task only commits after
-        its predecessors — so completing it in topological order never
-        hits a blocked vertex. The trace gets synthetic commit records
-        (the telemetry stream does NOT: resume invariants distinguish
-        journaled commits from live ones) so the validator sees resumed
-        tasks' dependencies as satisfied.
+    def _run_due_audits(self, force: bool) -> None:
+        """Run every pending audit old enough (all of them when forced).
+
+        The inputs re-extracted by the recompute are the committed
+        predecessor blocks — a successor never overwrites them — so the
+        recompute sees what the worker saw. A lying *predecessor* makes
+        both sides agree and is caught by its own audit, not this one.
         """
-        for task_id in self.partition.abstract.topological_order():
-            if task_id not in self._prior_commits:
-                continue
-            parser.complete(task_id)
-            if self.sched.trace is not None:
-                self.sched.trace.record(
-                    "commit", task_id, self._prior_commits[task_id], -1, self.clock.now()
-                )
-        self.stats.resumed_commits = len(self._prior_commits)
-        if self.sched.observing:
-            self.sched.record(
-                "resume", None, -1, n_committed=len(self._prior_commits)
-            )
-
-    def _write_checkpoint(self) -> None:
-        """Compact the journal around a snapshot of the committed state."""
-        assert self.journal is not None
-        with self._state_lock:
-            snapshot = {k: np.array(v, copy=True) for k, v in self.state.items()}
-        t0 = self.clock.now() if self.sched.observing else 0.0
-        nbytes = self.journal.checkpoint(
-            snapshot,
-            self._committed,
-            self._register.attempts_snapshot(),
-            run_digest=run_digest_hex(self._run_digest_acc) if self._digest_on else None,
-            commit_digests=dict(self._commit_digests) if self._digest_on else None,
-        )
-        self.stats.checkpoints += 1
-        if self.sched.observing:
-            t1 = self.clock.now()
-            self.sched.record(
-                "checkpoint", None, -1, ts=t1, t0=t0, t1=t1,
-                n_committed=len(self._committed), nbytes=nbytes,
-            )
-
-    # -- result integrity (digest / audit / vote / taint recompute) --------------------
-
-    #: Commits an enqueued audit waits for before running, so convicted
-    #: blocks usually have committed dependents and the taint closure is
-    #: exercised. Audits still drain fully before the run ends.
-    _AUDIT_LAG = 4
-
-    def _commit(
-        self,
-        parser: DAGParser,
-        task_id: TaskId,
-        outputs,
-        epoch: int,
-        worker_id: int,
-        digest: Optional[str],
-    ) -> None:
-        """Journal, merge, and fold one accepted result (scheduling thread)."""
-        if self.journal is not None:
-            # Write-ahead: the journal record lands (and fsyncs) before
-            # the state merge, so a crash between the two replays this
-            # commit instead of losing it.
-            if self.sched.observing:
-                j0 = self.clock.now()
-                jbytes = self.journal.commit(task_id, epoch, outputs, digest=digest)
-                j1 = self.clock.now()
-                self.sched.record(
-                    "journal-write", task_id, epoch,
-                    ts=j1, t0=j0, t1=j1, nbytes=jbytes,
-                )
-            else:
-                self.journal.commit(task_id, epoch, outputs, digest=digest)
-        with self._state_lock:
-            self.problem.apply_result(self.state, self.partition, task_id, outputs)
-        self._committed[task_id] = epoch
-        self._release_blocks(task_id)
-        if self._digest_on:
-            self._run_digest_acc = fold_commit(self._run_digest_acc, task_id, digest)
-            self._commit_digests[task_id] = digest
-        if self.sched.enabled:
-            # Recorded before push_many so a successor's "assign" always
-            # serializes after its dependencies' commits.
-            self.sched.record("commit", task_id, epoch)
-        self._commit_count += 1
-        if self.integrity.audit_on and self.integrity.should_audit(task_id):
-            self._audit_pending.append(
-                (self._commit_count, task_id, epoch, worker_id, outputs)
-            )
-        self._stack.push_many(parser.complete(task_id))
-        if self.journal is not None and self.journal.should_checkpoint():
-            self._write_checkpoint()
-
-    def _run_due_audits(self, parser: DAGParser, force: bool) -> None:
-        """Run every pending audit old enough (all of them when forced)."""
-        while self._audit_pending and not self._failure:
-            stamped, task_id, epoch, worker_id, outputs = self._audit_pending[0]
-            if not force and self._commit_count - stamped < self._AUDIT_LAG:
+        while not self._failure:
+            due = self.core.next_audit(force)
+            if due is None:
                 return
-            self._audit_pending.pop(0)
-            if self._committed.get(task_id) != epoch:
-                continue  # already revoked by an earlier conviction's closure
-            self._audit_one(parser, task_id, epoch, worker_id, outputs)
-
-    def _audit_one(
-        self, parser: DAGParser, task_id: TaskId, epoch: int, worker_id: int, outputs
-    ) -> None:
-        """Recompute one committed block and convict on mismatch.
-
-        The inputs re-extracted here are the committed predecessor blocks
-        — a successor never overwrites them — so the recompute sees what
-        the worker saw. A lying *predecessor* makes both sides agree and
-        is caught by its own audit, not this one.
-        """
-        expected = self._recompute(task_id)
-        expected_digest = self._timed_digest(expected, task_id, epoch, worker_id, "audit")
-        got_digest = self._timed_digest(outputs, task_id, epoch, worker_id, "audit")
-        if expected_digest == got_digest:
-            self.stats.audits_passed += 1
-            if self.sched.observing:
-                self.sched.record("audit-pass", task_id, epoch, worker_id)
-            return
-        self.stats.audits_convicted += 1
-        if self.sched.observing:
-            self.sched.record("audit-convict", task_id, epoch, worker_id)
-        self._taint_invalidate(parser, task_id)
-        self._note_divergence(worker_id)
+            task_id, epoch, worker_id, outputs = due
+            expected = self.sched.digest(
+                self._recompute(task_id), task_id, epoch, worker_id, "audit"
+            )
+            got = self.sched.digest(outputs, task_id, epoch, worker_id, "audit")
+            acts = self.core.audited(task_id, epoch, worker_id, expected == got)
+            if acts is not None:
+                self._apply(acts)
 
     def _recompute(self, task_id: TaskId):
         """The master's own serial evaluation of one sub-task, from the
@@ -694,70 +493,6 @@ class MasterPart:
         inner = self.partition.sub_partition(task_id, (len(rows), len(cols)))
         return evaluator.run_serial(inner)
 
-    def _taint_invalidate(self, parser: DAGParser, root: TaskId) -> None:
-        """Revoke a convicted commit and its committed dependent closure.
-
-        Durable first: the journal's invalidation record lands before any
-        in-memory rewind, so a crash mid-taint resumes post-invalidation
-        and recomputes the closure. The parser then re-opens the revoked
-        region; live dispatches and queued results built on tainted
-        inputs are cancelled/purged budget-free.
-        """
-        pattern = self.partition.abstract
-        tainted = {root}
-        frontier = [root]
-        while frontier:
-            vid = frontier.pop()
-            for succ in pattern.successors(vid):
-                if succ not in tainted and succ in self._committed:
-                    tainted.add(succ)
-                    frontier.append(succ)
-        order = [vid for vid in pattern.topological_order() if vid in tainted]
-        if self.journal is not None:
-            self.journal.invalidate(order)
-        for vid in order:
-            epoch = self._committed.pop(vid)
-            self.stats.tainted_recomputes += 1
-            if self._digest_on:
-                # XOR the revoked commit's contribution back out of the
-                # rolling run digest.
-                self._run_digest_acc = fold_commit(
-                    self._run_digest_acc, vid, self._commit_digests.pop(vid, None)
-                )
-            if self.sched.observing:
-                self.sched.record(
-                    "taint-invalidate", vid, epoch, root=repr(root), n_tainted=len(order)
-                )
-        # Live dispatches whose inputs came from a tainted block computed
-        # on revoked data: cancel budget-free, like a blacklist eviction.
-        for task_id, reg in self._register.live_snapshot():
-            if not any(p in tainted for p in pattern.predecessors(task_id)):
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
-                continue
-            self._leases.drop(task_id, reg.epoch)
-            self._release_blocks(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, reg.epoch)
-        # Queued-but-uncommitted results and half-gathered votes that
-        # consumed tainted inputs are stale too.
-        with self._results_lock:
-            for task_id in list(self._result_buffer):
-                if any(p in tainted for p in pattern.predecessors(task_id)):
-                    del self._result_buffer[task_id]
-        for task_id in list(self._votes):
-            if any(p in tainted for p in pattern.predecessors(task_id)):
-                self._votes.pop(task_id)
-                self._vote_need.pop(task_id, None)
-        recompute_frontier = parser.invalidate(order)
-        # Stacked tasks whose predecessor was just revoked are no longer
-        # computable; drop them — they re-surface as the closure recommits.
-        self._stack.retain(
-            lambda t: all(p in self._committed for p in pattern.predecessors(t))
-        )
-        self._stack.push_many(recompute_frontier)
-
     # -- duplicate-dispatch voting -----------------------------------------------------
 
     def _record_vote(
@@ -767,7 +502,7 @@ class MasterPart:
         ``(outputs, epoch, worker, digest)`` once a quorum decides, else
         None (the task was re-queued for another voter)."""
         if digest is None:
-            digest = self._timed_digest(outputs, task_id, epoch, worker_id, "vote")
+            digest = self.sched.digest(outputs, task_id, epoch, worker_id, "vote")
         votes = self._votes.setdefault(task_id, {})
         votes[worker_id] = (digest, outputs, epoch)
         self.stats.votes_cast += 1
@@ -800,16 +535,12 @@ class MasterPart:
         eligible = [
             k
             for k in range(len(self.channels))
-            if k not in self._blacklisted
-            and k not in self._left
-            and k not in self._quarantined
+            if k not in self.core.retired
             and k not in votes
             and self.policy.eligible(k, task_id)
         ]
         if eligible:
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, max(v[2] for v in votes.values()))
+            self.core.exempt(task_id, max(v[2] for v in votes.values()))
             self._stack.push(task_id)
             return None
         # No fresh worker can break the tie: the master evaluates the
@@ -823,35 +554,11 @@ class MasterPart:
         self._vote_need.pop(task_id, None)
         for wid, (d, _, _) in votes.items():
             if d != winner:
-                self._note_divergence(wid)
+                self._apply(self.core.diverged(wid))
         for wid, (d, outputs, epoch) in sorted(votes.items()):
             if d == winner:
                 return (outputs, epoch, wid, d)
         raise SchedulerError(f"vote for {task_id!r} decided on a digest nobody cast")
-
-    def _note_divergence(self, worker_id: int) -> None:
-        """Attribute one convicted divergence; quarantine past the
-        threshold. No degradation floor here — a lying last worker is
-        strictly worse than a clean abort."""
-        if worker_id < 0:
-            return  # the master's own arbiter/audit recompute
-        n = self._divergence.get(worker_id, 0) + 1
-        self._divergence[worker_id] = n
-        if worker_id in self._quarantined or n < self.integrity.quarantine_threshold:
-            return
-        self._quarantined.add(worker_id)
-        self.stats.quarantined_workers.append(worker_id)
-        if self.sched.observing:
-            self.sched.record("quarantine", None, -1, worker_id, divergences=n)
-        self._requeue_worker_tasks(worker_id)
-        retired = self._blacklisted | self._left | self._quarantined
-        if len(retired) >= len(self.channels):
-            self._abort(
-                FaultToleranceExhausted(
-                    "every worker quarantined for divergent results "
-                    f"(last: worker {worker_id} after {n} convictions)"
-                )
-            )
 
     def _surface_leaks(self, threads: Sequence[threading.Thread]) -> None:
         """Warn about (and count) threads that outlived their join timeout.
@@ -893,21 +600,7 @@ class MasterPart:
             # Integrity counters exist only when integrity is on, so the
             # disabled path stays metric-free (zero-cost invariant).
             self.metrics.counter("integrity.digests_verified").inc(self._digests_verified)
-            self.metrics.counter("integrity.digest_rejects").inc(self.stats.digest_rejects)
-            self.metrics.counter("integrity.audits_passed").inc(self.stats.audits_passed)
-            self.metrics.counter("integrity.audits_convicted").inc(
-                self.stats.audits_convicted
-            )
-            self.metrics.counter("integrity.tainted_recomputes").inc(
-                self.stats.tainted_recomputes
-            )
-            self.metrics.counter("integrity.votes_cast").inc(self.stats.votes_cast)
-            self.metrics.counter("integrity.vote_divergences").inc(
-                self.stats.vote_divergences
-            )
-            self.metrics.counter("integrity.quarantined_workers").inc(
-                len(self.stats.quarantined_workers)
-            )
+            self.stats.publish_integrity(self.metrics)
 
     # -- per-slave worker thread (Fig 9 steps d-f) ------------------------------------
 
@@ -929,11 +622,7 @@ class MasterPart:
         if task_id is None:
             return None
         epoch = self._register.register(task_id, worker_id, self.clock.now())
-        if (
-            worker_id in self._blacklisted
-            or worker_id in self._left
-            or worker_id in self._quarantined
-        ):
+        if worker_id in self.core.retired:
             # Retired while we were popping: registering first and
             # re-checking closes the race with the eviction scan —
             # whichever side wins the cancel re-queues the task exactly
@@ -942,18 +631,10 @@ class MasterPart:
             if self._register.cancel(task_id, epoch):
                 self._stack.push(task_id)
             return _RETIRED
-        if self.sched.observing:
-            # queue-wait span first, so the task's "assign" (which
-            # closes the wait) serializes after it in the stream.
-            now = self.clock.now()
-            ready_at = self._ready_at.pop(task_id, None)
-            if ready_at is not None:
-                self.sched.record(
-                    "queue-wait", task_id, epoch, worker_id,
-                    ts=now, t0=ready_at, t1=now,
-                )
         if self.sched.enabled:
-            self.sched.record("assign", task_id, epoch, worker_id)
+            self.core.assigned(
+                task_id, epoch, worker_id, self.clock.now(), self._ready_at.pop(task_id, None)
+            )
         with self._state_lock:
             inputs = self.problem.extract_inputs(self.state, self.partition, task_id)
         self._overtime.push(
@@ -973,7 +654,7 @@ class MasterPart:
             inputs=inputs,
             lease=lease,
             digest=(
-                self._timed_digest(inputs, task_id, epoch, worker_id, "assign")
+                self.sched.digest(inputs, task_id, epoch, worker_id, "assign")
                 if self._digest_on
                 else None
             ),
@@ -983,14 +664,9 @@ class MasterPart:
         """Undo one prepared-but-never-sent assign (mid-gather retirement):
         cancel its registration, drop its lease, and re-queue the task
         budget-free — the task did nothing wrong, its wave fell apart."""
-        if not self._register.cancel(assign.task_id, assign.epoch):
+        if not self.core.cancel_exempt(assign.task_id, assign.epoch):
             return
         self._leases.drop(assign.task_id, assign.epoch)
-        self._budget_exempt[assign.task_id] = (
-            self._budget_exempt.get(assign.task_id, 0) + 1
-        )
-        if self.sched.enabled:
-            self.sched.record("redistribute", assign.task_id, assign.epoch)
         self._stack.push(assign.task_id)
 
     def _gather_wave(self, worker_id: int, first: TaskAssign):
@@ -1038,7 +714,7 @@ class MasterPart:
             except ChannelClosed:
                 return
             now = self.clock.now()
-            self._last_heard[worker_id] = now
+            self.core.heard(worker_id, now)
             if self._lease_duration is not None:
                 # Any message from a worker proves liveness: renew every
                 # lease it holds (heartbeats are just the guaranteed-
@@ -1051,16 +727,12 @@ class MasterPart:
             if isinstance(msg, WorkerLeave):
                 # Elastic departure: retire the worker, re-queue its
                 # in-flight work budget-free, and let it exit cleanly.
-                self._detach_worker(worker_id)
+                self._apply(self.core.worker_left(worker_id))
                 self._try_send_end(channel)
                 ended = True
                 continue
             if isinstance(msg, IdleSignal):
-                if (
-                    worker_id in self._blacklisted
-                    or worker_id in self._left
-                    or worker_id in self._quarantined
-                ):
+                if worker_id in self.core.retired:
                     # Retired worker: no further assignments; let it exit.
                     self._try_send_end(channel)
                     ended = True
@@ -1123,7 +795,7 @@ class MasterPart:
         if (
             self._digest_on
             and msg.digest is not None
-            and self._timed_digest(
+            and self.sched.digest(
                 msg.outputs, msg.task_id, msg.epoch, worker_id, "verify"
             ) != msg.digest
         ):
@@ -1140,25 +812,9 @@ class MasterPart:
                     "digest-reject", msg.task_id, msg.epoch, worker_id,
                     hop="result",
                 )
-            if self._register.cancel(msg.task_id, msg.epoch):
-                self._leases.drop(msg.task_id, msg.epoch)
-                self._release_blocks(msg.task_id)
-                attempts = self._register.attempts(msg.task_id)
-                charged = attempts - self._budget_exempt.get(msg.task_id, 0)
-                if charged > self.max_retries + 1:
-                    self._abort(
-                        FaultToleranceExhausted(
-                            f"sub-task {msg.task_id} rejected for digest "
-                            f"mismatch on {charged} budgeted dispatches"
-                        )
-                    )
-                    return False
-                self.stats.faults_recovered += 1
-                if self.sched.enabled:
-                    self.sched.record("redistribute", msg.task_id, msg.epoch)
-                self._stack.push(msg.task_id)
-            return True
-        if self._register.finish(msg.task_id, msg.epoch):
+            acts = self.core.rejected(msg.task_id, msg.epoch)
+            return acts is None or self._apply(acts)
+        if self.core.accept(msg.task_id, msg.epoch, worker_id):
             self._leases.drop(msg.task_id, msg.epoch)
             if self.sched.observing:
                 # The compute span is synthesized on the master's
@@ -1200,8 +856,6 @@ class MasterPart:
             )
         else:
             self.stats.stale_results += 1
-            if self.sched.enabled:
-                self.sched.record("stale-drop", msg.task_id, msg.epoch, worker_id)
         return True
 
     def _try_send_end(self, channel: Channel) -> None:
@@ -1254,34 +908,20 @@ class MasterPart:
             now = self.clock.now()
             while pending and pending[0][0] <= now:
                 self._stack.push(heapq.heappop(pending)[2])
-            if self._lease_duration is not None:
-                for lease in self._leases.expired(now):
-                    reg = self._register.cancel(lease.task_id, lease.epoch)
-                    if not reg:
-                        continue  # finished/cancelled already; lazy removal
-                    self.stats.lease_expirations += 1
-                    if self.sched.observing:
-                        self.sched.record(
-                            "lease-expired", lease.task_id, lease.epoch,
-                            lease.worker_id,
-                        )
-                    self._note_worker_failure(reg.worker_id)
+            leases = self._leases.expired(now) if self._lease_duration is not None else ()
+            expired = [(lease.task_id, lease.epoch, True) for lease in leases]
+            expired += [(e.task_id, e.epoch, False) for e in self._overtime.due(now)]
+            for task_id, epoch, lease in expired:
+                acts = self.core.timed_out(task_id, epoch, now, lease=lease)
+                if acts is None:
+                    continue  # finished/cancelled already; lazy removal
+                for delay, delayed in acts.delayed:
                     seq += 1
-                    if not self._requeue_fault(
-                        lease.task_id, lease.epoch, pending, seq, now
-                    ):
-                        return
-            for entry in self._overtime.due(now):
-                reg = self._register.cancel(entry.task_id, entry.epoch)
-                if not reg:
-                    continue  # completed in time; lazy removal
-                self._leases.drop(entry.task_id, entry.epoch)
-                self._note_worker_failure(reg.worker_id)
-                seq += 1
-                if not self._requeue_fault(entry.task_id, entry.epoch, pending, seq, now):
+                    heapq.heappush(pending, (now + delay, seq, delayed))
+                if not self._apply(acts):
                     return
             if self.speculate:
-                seq = self._scan_stragglers(now, seq)
+                self._scan_stragglers(now)
             if (
                 not pending
                 and len(self._register) == 0
@@ -1299,107 +939,7 @@ class MasterPart:
                 return
             time.sleep(self.poll_interval)
 
-    def _requeue_fault(
-        self,
-        task_id: TaskId,
-        epoch: int,
-        pending: List[Tuple[float, int, TaskId]],
-        seq: int,
-        now: float,
-    ) -> bool:
-        """Handle one timed-out dispatch: re-queue (possibly after an
-        exponential backoff) or abort when the budget is exhausted.
-        Returns False when the run was aborted."""
-        attempts = self._register.attempts(task_id)
-        charged = attempts - self._budget_exempt.get(task_id, 0)
-        if charged > self.max_retries + 1:
-            self._abort(
-                FaultToleranceExhausted(
-                    f"sub-task {task_id} failed {charged} budgeted dispatches"
-                )
-            )
-            return False
-        self.stats.faults_recovered += 1
-        self._release_blocks(task_id)
-        if self.sched.enabled:
-            self.sched.record("redistribute", task_id, epoch)
-        delay = 0.0
-        if self.retry_backoff > 0:
-            delay = min(
-                self.retry_backoff * (2.0 ** max(0, charged - 1)),
-                self.retry_backoff_max,
-            )
-        if delay > 0:
-            if self.sched.observing:
-                self.sched.record("backoff", task_id, epoch, delay=delay)
-            heapq.heappush(pending, (now + delay, seq, task_id))
-        else:
-            self._stack.push(task_id)
-        return True
-
-    def _note_worker_failure(self, worker_id: int) -> None:
-        """Attribute a timeout to its worker; blacklist past the threshold.
-
-        The last healthy worker is never blacklisted (graceful degradation
-        down to one survivor). Eviction cancels the worker's in-flight
-        dispatches and re-queues them, so no result it still sends can
-        commit — late replies hit a stale epoch.
-        """
-        if self.blacklist_threshold is None:
-            return
-        n = self._worker_failures.get(worker_id, 0) + 1
-        self._worker_failures[worker_id] = n
-        if (
-            n < self.blacklist_threshold
-            or worker_id in self._blacklisted
-            or worker_id in self._left
-        ):
-            return
-        if len(self.channels) - len(self._blacklisted) - len(self._left) <= 1:
-            return  # degradation floor: keep the last worker, come what may
-        heard = self._last_heard.get(worker_id)
-        if heard is not None and self.clock.now() - heard < self.task_timeout:
-            # Recently heard from: the worker is alive and reachable, so
-            # its timeouts are dropped/late messages, not worker death.
-            # Keep it (and reset nothing — persistent silence still trips
-            # the threshold on a later failure).
-            return
-        self._blacklisted.add(worker_id)
-        self.stats.blacklisted_workers.append(worker_id)
-        if self.sched.observing:
-            self.sched.record(
-                "blacklist", None, -1, worker_id, failures=n
-            )
-        self._requeue_worker_tasks(worker_id)
-
-    def _requeue_worker_tasks(self, worker_id: int) -> None:
-        """Cancel and re-queue every live dispatch a retiring worker holds
-        (blacklist eviction or clean WorkerLeave). Never charges the retry
-        budget — the task did nothing wrong, its worker went away."""
-        for task_id, reg in self._register.live_snapshot():
-            if reg.worker_id != worker_id:
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
-                continue
-            self._leases.drop(task_id, reg.epoch)
-            self._release_blocks(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
-            self.stats.faults_recovered += 1
-            if self.sched.enabled:
-                self.sched.record("redistribute", task_id, reg.epoch)
-            self._stack.push(task_id)
-
     # -- elastic membership -----------------------------------------------------
-
-    def _detach_worker(self, worker_id: int) -> None:
-        """Retire a worker that announced a clean departure."""
-        if worker_id in self._left:
-            return
-        self._left.add(worker_id)
-        self.stats.workers_left += 1
-        if self.sched.observing:
-            self.sched.record("worker-leave", None, -1, worker_id)
-        self._requeue_worker_tasks(worker_id)
 
     def attach_worker(self, channel: Channel) -> int:
         """Join a new worker mid-run (elastic membership); returns its id.
@@ -1423,6 +963,7 @@ class MasterPart:
             # Int assignment is GIL-atomic; eligibility checks racing this
             # see either the old or new count, both consistent.
             self.policy.n_workers = worker_id + 1
+            self.core.n_workers = worker_id + 1
             thread = threading.Thread(
                 target=self._serve_slave, args=(worker_id,), daemon=True,
                 name=f"master-worker{worker_id}",
@@ -1434,14 +975,14 @@ class MasterPart:
         thread.start()
         return worker_id
 
-    def _scan_stragglers(self, now: float, seq: int) -> int:
+    def _scan_stragglers(self, now: float) -> None:
         """Speculative re-dispatch: cancel live dispatches that have aged
         past a multiple of the observed duration quantile and re-queue
         them immediately (at most once per task; never charged against the
         retry budget)."""
         durations = self._durations
         if len(durations) < 8:
-            return seq  # not enough signal for a stable quantile yet
+            return  # not enough signal for a stable quantile yet
         cutoff = max(
             self.speculative_factor
             * float(np.quantile(np.asarray(durations, dtype=float), self.speculative_quantile)),
@@ -1450,18 +991,13 @@ class MasterPart:
         for task_id, reg in self._register.live_snapshot():
             if task_id in self._speculated:
                 continue
-            if now - reg.registered_at <= cutoff:
-                continue
-            if not self._register.cancel(task_id, reg.epoch):
+            age = now - reg.registered_at
+            if age <= cutoff or not self.core.cancel_exempt(
+                task_id, reg.epoch, "speculate", reg.worker_id, age=age
+            ):
                 continue
             self._leases.drop(task_id, reg.epoch)
             self._release_blocks(task_id)
             self._speculated.add(task_id)
-            self._budget_exempt[task_id] = self._budget_exempt.get(task_id, 0) + 1
             self.stats.speculative_redispatches += 1
-            if self.sched.enabled:
-                self.sched.record(
-                    "speculate", task_id, reg.epoch, reg.worker_id, age=now - reg.registered_at
-                )
             self._stack.push(task_id)
-        return seq

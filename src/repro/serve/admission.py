@@ -67,6 +67,8 @@ class AdmissionController:
         self.capacity = capacity
         self._cond = make_condition("serve.admission")
         self._queue: List[JobRecord] = []
+        #: Slots held by :meth:`reserve` whose jobs are not queued yet.
+        self._reserved = 0
         self._draining = False
         self.shed_by_tenant: Dict[str, int] = {}
         self.admitted = 0
@@ -80,6 +82,20 @@ class AdmissionController:
 
     def admit(self, record: JobRecord) -> AdmissionDecision:
         """Enqueue ``record`` or shed it, never blocking the caller."""
+        decision = self.reserve(record)
+        if decision.accepted:
+            self.enqueue(record)
+        return decision
+
+    def reserve(self, record: JobRecord) -> AdmissionDecision:
+        """Hold one queue slot for ``record`` without making it visible
+        to the scheduler, or shed it.
+
+        The daemon reserves, makes the submission durable, and only then
+        calls :meth:`enqueue` (or :meth:`release` when the write failed),
+        so the scheduler can never start a job whose acceptance is later
+        revoked.
+        """
         with self._cond:
             if self._draining:
                 self._shed(record)
@@ -96,18 +112,37 @@ class AdmissionController:
                     return AdmissionDecision(
                         False, None, pressure, len(self._queue)
                     )
-            if len(self._queue) >= self.capacity:
+            depth = len(self._queue) + self._reserved
+            if depth >= self.capacity:
                 self._shed(record)
                 return AdmissionDecision(
                     False, None,
-                    f"{SHED_QUEUE_FULL}: depth {len(self._queue)} >= cap "
+                    f"{SHED_QUEUE_FULL}: depth {depth} >= cap "
                     f"{self.capacity}; retry later",
                     len(self._queue),
                 )
+            self._reserved += 1
+            return AdmissionDecision(True, record.job_id, "accepted", depth + 1)
+
+    def enqueue(self, record: JobRecord) -> bool:
+        """Turn a reservation into a queued job the scheduler can pick.
+
+        Returns False (and drops the reservation) when the daemon began
+        draining in between; the caller then finishes the job itself.
+        """
+        with self._cond:
+            self._reserved -= 1
+            if self._draining:
+                return False
             self._queue.append(record)
             self.admitted += 1
             self._cond.notify_all()
-            return AdmissionDecision(True, record.job_id, "accepted", len(self._queue))
+            return True
+
+    def release(self, record: JobRecord) -> None:
+        """Give back the slot :meth:`reserve` held for ``record``."""
+        with self._cond:
+            self._reserved -= 1
 
     def _shed(self, record: JobRecord) -> None:
         tenant = record.spec.tenant

@@ -235,7 +235,10 @@ class ServeDaemon:
             next_job_id(self.job_prefix), spec,
             submitted_at=self.clock.now(), est_cost=cost,
         )
-        decision = self.admission.admit(record)
+        # Reserve, make durable, then enqueue: the scheduler only sees the
+        # job once its WAL record landed, so a failed write can revoke
+        # the acceptance before anything runs.
+        decision = self.admission.reserve(record)
         if not decision.accepted:
             self._count_shed(spec.tenant)
             if decision.reason.startswith(SHED_RESOURCE):
@@ -256,25 +259,23 @@ class ServeDaemon:
                 # Cannot make the acceptance durable — revoke it and shed
                 # with a resource reason instead of acknowledging a job a
                 # crash would silently lose.
+                self.admission.release(record)
                 reason = f"{SHED_RESOURCE}:wal-write"
                 self._count_shed(spec.tenant)
                 self.metrics.counter(
                     "serve.resource_sheds", tenant=spec.tenant
                 ).inc()
-                if self.admission.cancel(record.job_id) is not None:
-                    self._finish(
-                        record, "cancelled",
-                        f"revoked: submission WAL write failed: {exc}",
-                        reason=reason,
-                    )
-                else:
-                    # The scheduler already popped it; abort it cleanly.
-                    self.cancel(
-                        record.job_id, f"submission WAL write failed: {exc}"
-                    )
+                self._finish(
+                    record, "cancelled",
+                    f"revoked: submission WAL write failed: {exc}",
+                    reason=reason,
+                )
                 return AdmissionDecision(
                     False, None, f"{reason}: {exc}", self.admission.depth
                 )
+        if not self.admission.enqueue(record):
+            self._finish(record, "cancelled", "cancelled: daemon drained before start")
+            return decision
         self.metrics.counter("serve.jobs_submitted", tenant=spec.tenant).inc()
         self.metrics.gauge("serve.queue_depth").set(self.admission.depth)
         return decision
@@ -725,7 +726,7 @@ class ServeDaemon:
         if self.pressure is not None:
             snap["pressure_trips"] = self.pressure.trips
         snap["fleet_idle"] = self.fleet.idle_count
-        snap["fleet_crashes"] = len(self.fleet.crash_log)
+        snap["fleet_crashes"] = self.fleet.crashes
         return snap
 
     def wait_idle(self, timeout: float) -> bool:

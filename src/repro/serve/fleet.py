@@ -19,7 +19,8 @@ pool, and the next tenant's job gets a healthy worker.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.check.lock_lint import make_condition
 from repro.utils.errors import ConfigError
@@ -27,6 +28,10 @@ from repro.utils.errors import ConfigError
 #: An assignment: a no-argument callable run to completion on the worker
 #: thread. Return value is ignored; exceptions are contained.
 Assignment = Callable[[], None]
+
+#: Contained crashes kept in :attr:`WorkerFleet.crash_log` (oldest drop
+#: first); :attr:`WorkerFleet.crashes` keeps the exact total.
+CRASH_LOG_SIZE = 64
 
 
 class _FleetWorker:
@@ -98,8 +103,11 @@ class WorkerFleet:
         self._idle: List[int] = list(range(size))
         self._busy_label: Dict[int, str] = {}
         self._stopped = False
-        #: ``(worker_id, label, repr(exc))`` per contained crash.
-        self.crash_log: List[Tuple[int, str, str]] = []
+        #: ``(worker_id, label, repr(exc))`` of the most recent contained
+        #: crashes; bounded so a long-lived daemon's memory stays flat.
+        self.crash_log: Deque[Tuple[int, str, str]] = deque(maxlen=CRASH_LOG_SIZE)
+        #: Every contained crash since start (the log keeps only the tail).
+        self.crashes = 0
 
     def start(self) -> None:
         for worker in self._workers:
@@ -149,6 +157,7 @@ class WorkerFleet:
     def _note_crash(self, worker_id: int, label: str, exc: BaseException) -> None:
         with self._cond:
             self.crash_log.append((worker_id, label, repr(exc)))
+            self.crashes += 1
 
     # -- introspection ---------------------------------------------------
 

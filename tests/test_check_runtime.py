@@ -11,7 +11,7 @@ import pytest
 from repro import EasyHPS, RunConfig
 from repro.algorithms import EditDistance, Nussinov
 from repro.cluster.faults import FaultPlan, FaultRule
-from repro.utils.errors import ConfigError
+from repro.utils.errors import CheckError, ConfigError
 
 
 @pytest.fixture
@@ -47,6 +47,30 @@ class TestVerifiedRuns:
         config = RunConfig.experiment(3, 9, verify=True)
         run = EasyHPS(config).run(problem)
         assert run.report.makespan > 0
+
+    def test_serial_backend(self, problem):
+        run = EasyHPS(cfg(backend="serial")).run(problem)
+        assert run.value.distance == problem.reference()
+
+    def test_serial_backend_fails_a_seeded_bad_trace(self, problem, monkeypatch):
+        """The serial path runs the happens-before check too: a trace
+        seeded with a commit of the sink block before anything ran must
+        fail the verified run."""
+        import repro.backends.serial as serial
+        from repro.obs import ScheduleTracer
+
+        class SeededTracer(ScheduleTracer):
+            def __init__(self, **kw):
+                super().__init__(**kw)
+                self.trace.record("commit", (3, 3), 0, 0, 0.0)
+
+        monkeypatch.setattr(serial, "ScheduleTracer", SeededTracer)
+        with pytest.raises(CheckError):
+            EasyHPS(cfg(backend="serial")).run(problem)
+        monkeypatch.undo()
+        assert EasyHPS(cfg(backend="serial")).run(problem).value.distance == (
+            problem.reference()
+        )
 
     @pytest.mark.slow
     def test_processes_backend(self, problem):

@@ -101,6 +101,14 @@ class TestPerfGate:
         assert "REGRESSION" in out
         assert "FAIL" in out
 
+    def test_deterministic_counter_drop_also_exits_3(self, baseline, capsys, monkeypatch):
+        """Serial/simulated wire counters are bit-reproducible: any change,
+        a decrease included, is a protocol change to re-record."""
+        monkeypatch.setattr(trajectory, "measure", lambda: _measured(bytes_extra=-1))
+        rc = main(["perf", "--against", str(baseline), "--check"])
+        assert rc == EXIT_FAULT_EXHAUSTED
+        assert "must equal" in capsys.readouterr().out
+
     def test_makespan_regression_exits_3(self, baseline, capsys, monkeypatch):
         monkeypatch.setattr(trajectory, "measure", lambda: _measured(scale=3.0))
         rc = main(["perf", "--against", str(baseline), "--check"])

@@ -13,7 +13,7 @@ from repro.comm.transport import channel_pair
 from repro.runtime.master import MasterPart
 from repro.runtime.slave import SlavePart
 from repro.schedulers.policy import make_policy
-from repro.serve.fleet import WorkerFleet
+from repro.serve.fleet import CRASH_LOG_SIZE, WorkerFleet
 from repro.utils.errors import ConfigError, SchedulerError
 
 
@@ -76,6 +76,29 @@ class TestFleetBasics:
             fleet.assign(ids[0], ran.set, label="job-y/slave0")
             assert ran.wait(5.0)
             assert fleet.wait_idle(5.0)
+        finally:
+            assert fleet.stop() == 0
+
+    def test_crash_log_is_bounded_but_count_is_exact(self):
+        """A long-lived daemon contains crashes forever: the log keeps
+        only the newest ``CRASH_LOG_SIZE`` while the total stays exact."""
+        fleet = WorkerFleet(1)
+        fleet.start()
+        n = CRASH_LOG_SIZE + 5
+
+        def poisoned():
+            raise RuntimeError("boom")
+
+        try:
+            for i in range(n):
+                ids = fleet.acquire(1, timeout=5.0)
+                assert ids is not None
+                fleet.assign(ids[0], poisoned, label=f"job-{i}/slave0")
+                assert fleet.wait_idle(5.0)
+            assert fleet.crashes == n
+            assert len(fleet.crash_log) == CRASH_LOG_SIZE
+            assert fleet.crash_log[0][1] == "job-5/slave0"
+            assert fleet.crash_log[-1][1] == f"job-{n - 1}/slave0"
         finally:
             assert fleet.stop() == 0
 

@@ -1,11 +1,13 @@
 """ServeJournal compaction, I/O fault injection, and daemon WAL bounds."""
 
 import os
+import time
 
 import pytest
 
 from repro.cluster.faults import IoFaultPlan, IoFaultRule, IoPolicy
 from repro.serve import JobSpec, ServeDaemon
+from repro.serve.job import JobRecord
 from repro.serve.wal import ServeJournal, scan_serve_journal
 from repro.utils.errors import JournalIOError
 
@@ -163,5 +165,44 @@ class TestDaemonIntegration:
             # The revoked record is terminal, never silently queued.
             records = daemon.jobs()
             assert all(r["status"] == "cancelled" for r in records)
+        finally:
+            daemon.drain(10.0)
+
+    def test_job_is_invisible_to_the_scheduler_until_its_wal_write_lands(
+        self, tmp_path
+    ):
+        """Hold the failing WAL write open while the scheduler polls: the
+        job must never reach the queue, so a revoked job cannot start."""
+        daemon = ServeDaemon(
+            workers=1, queue_cap=1, poll_interval=0.01,
+            wal_path=str(tmp_path / "serve.srvj"),
+            io_fault_plan=IoFaultPlan([IoFaultRule("write", "enospc", after=0)]),
+        )
+        daemon.start()
+        real_submit = daemon._wal.submit
+        visible = []
+
+        def held_submit(job_id, spec):
+            visible.append([r.job_id for r in daemon.admission.snapshot()])
+            # Many scheduler polls pass while the write is "in flight".
+            time.sleep(0.2)
+            visible.append([r.job_id for r in daemon.admission.snapshot()])
+            return real_submit(job_id, spec)
+
+        daemon._wal.submit = held_submit
+        try:
+            decision = daemon.submit(JobSpec(algo="lcs", size=16, nodes=2))
+            assert not decision.accepted
+            assert decision.reason.startswith("resource-pressure:wal-write")
+            assert visible == [[], []]
+            time.sleep(0.2)
+            records = daemon.jobs()
+            assert len(records) == 1
+            assert records[0]["status"] == "cancelled"
+            assert daemon.admission.depth == 0
+            # The reserved slot was given back: the only slot is free.
+            probe = JobRecord("probe", _spec())
+            assert daemon.admission.reserve(probe).accepted
+            daemon.admission.release(probe)
         finally:
             daemon.drain(10.0)
