@@ -2,7 +2,9 @@
 
 Not a paper figure — these keep the substrate honest: DAG parsing
 throughput, kernel cell rates, the thread-level list scheduler, and
-transport round-trips. pytest-benchmark reports ops/sec.
+transport round-trips. pytest-benchmark reports ops/sec; the kernel
+benches also record the cells per call in ``extra_info["cells"]``, so
+cells/s is ops/sec times that.
 """
 
 from __future__ import annotations
@@ -10,7 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms import EditDistance, Nussinov
-from repro.algorithms.kernels import edit_distance_region, nussinov_region
+from repro.algorithms.kernels import (
+    edit_distance_region,
+    matrix_chain_region,
+    nussinov_region,
+    swgg_region,
+)
 from repro.comm.messages import TaskAssign
 from repro.comm.transport import channel_pair
 from repro.dag.library import TriangularPattern, WavefrontPattern
@@ -43,6 +50,7 @@ def test_edit_distance_kernel_cells_per_second(benchmark):
     D[:, 0] = np.arange(block + 1)
     sub = np.random.default_rng(0).random((block, block)).round()
 
+    benchmark.extra_info["cells"] = block * block
     benchmark(lambda: edit_distance_region(D, sub, range(block), range(block)))
 
 
@@ -55,6 +63,67 @@ def test_nussinov_kernel_block(benchmark):
         nussinov_region(W, can, 0, range(n), range(n))
         return W[0, n - 1]
 
+    benchmark.extra_info["cells"] = n * (n + 1) // 2
+    benchmark(run)
+
+
+def _swgg_block(h, w, r0, c0, seed=0):
+    """Kernel arguments for an ``h x w`` SWGG block at matrix origin ``(r0, c0)``."""
+    rng = np.random.default_rng(seed)
+    gap = 2.0 + 0.5 * np.arange(max(r0, c0) + max(h, w) + 1.0)
+    gap[0] = 1e30
+    Hrow = rng.random((h, c0)) * 4.0
+    Hcol = rng.random((r0, w)) * 4.0
+    Hloc = np.zeros((h + 1, w + 1))
+    Hloc[0, :] = rng.random(w + 1) * 4.0
+    Hloc[1:, 0] = Hrow[:, -1]
+    sub = rng.choice([2.0, -1.0], size=(h, w))
+    return Hloc, Hrow, Hcol, sub, gap
+
+
+def test_swgg_kernel_block(benchmark):
+    """A 64x64 SWGG block deep in a matrix (prefix scans of ~700 cells)."""
+    h = w = 64
+    r0 = c0 = 641
+    Hloc, Hrow, Hcol, sub, gap = _swgg_block(h, w, r0, c0)
+
+    benchmark.extra_info["cells"] = h * w
+    benchmark(lambda: swgg_region(Hloc, Hrow, Hcol, sub, gap, c0, r0, range(h), range(w)))
+
+
+def test_swgg_kernel_paper_tile(benchmark):
+    """Cell rate at the paper-kernels sub-block shape: SWGG-160 split 20/5
+    gives 5x5 regions; this one sits at column/row 140."""
+    h = w = 5
+    r0 = c0 = 140
+    Hloc, Hrow, Hcol, sub, gap = _swgg_block(h, w, r0, c0)
+
+    benchmark.extra_info["cells"] = h * w
+    benchmark(lambda: swgg_region(Hloc, Hrow, Hcol, sub, gap, c0, r0, range(h), range(w)))
+
+
+def test_nussinov_kernel_paper_tile(benchmark):
+    """Cell rate at the paper-kernels sub-block shape: Nussinov-256 split
+    32/8 gives 8x8 regions; this one is off the diagonal at offset 200."""
+    n = 256
+    can = np.triu(np.random.default_rng(0).random((n, n)) < 0.4, 1)
+    W = np.zeros((n, n))
+    nussinov_region(W, can, 0, range(n), range(n))
+
+    benchmark.extra_info["cells"] = 64
+    benchmark(lambda: nussinov_region(W, can, 0, range(0, 8), range(200, 208)))
+
+
+def test_matrix_chain_kernel_block(benchmark):
+    n = 96
+    dims = np.random.default_rng(0).integers(5, 50, size=n + 1).astype(float)
+
+    def run():
+        W = np.zeros((n, n))
+        matrix_chain_region(W, dims, 0, range(n), range(n))
+        return W[0, n - 1]
+
+    benchmark.extra_info["cells"] = n * (n + 1) // 2
     benchmark(run)
 
 

@@ -36,6 +36,16 @@ from repro.runtime.slave import slave_process_main
 from repro.schedulers.policy import make_policy
 
 
+def _slave_entry(inherited, *args) -> None:
+    """Slave process body: close the inherited pipe ends of the master and
+    the other slaves, then run the slave. With those closed, the slave's
+    own pipe reaches EOF once the master is gone, even after ``kill -9``,
+    and the slave exits instead of lingering as an orphan."""
+    for conn in inherited:
+        conn.close()
+    slave_process_main(*args)
+
+
 def run_processes(
     problem: DPProblem, config: RunConfig, resume=None
 ) -> Tuple[Dict[str, np.ndarray], RunReport]:
@@ -83,7 +93,7 @@ def run_processes(
     )
 
     master_channels = []
-    procs = []
+    conns = []
     options = dict(
         thread_scheduler=config.thread_scheduler,
         subtask_timeout=config.subtask_timeout,
@@ -101,6 +111,7 @@ def run_processes(
     )
     for k in range(config.n_slaves):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
+        conns.append((parent_conn, child_conn))
         channel = PipeChannel(parent_conn)
         if store is not None:
             # The shm wrapper sits directly on the pipe; chaos (below)
@@ -121,15 +132,21 @@ def run_processes(
         if recorder is not None:
             channel.instrument(recorder, endpoint=f"slave{k}")
         master_channels.append(channel)
-        procs.append(
-            ctx.Process(
-                target=slave_process_main,
-                args=(k, child_conn, problem, proc_size, thread_size,
-                      config.threads_per_node, options),
-                daemon=True,
-                name=f"slave{k}",
-            )
+    procs = [
+        ctx.Process(
+            target=_slave_entry,
+            args=(
+                # Every pipe end but its own: a forked slave inherits them
+                # all, and would hold its own pipe open past the master.
+                [c for pair in conns for c in pair if c is not child_conn],
+                k, child_conn, problem, proc_size, thread_size,
+                config.threads_per_node, options,
+            ),
+            daemon=True,
+            name=f"slave{k}",
         )
+        for k, (_, child_conn) in enumerate(conns)
+    ]
 
     journal = open_journal(config, problem, resume, obs=recorder)
     master = MasterPart(

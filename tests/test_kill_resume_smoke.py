@@ -1,6 +1,7 @@
 """End-to-end kill -9 smoke: start a journaled processes-backend run as a
-real subprocess, SIGKILL it mid-flight, then `repro resume --check-oracle`
-and demand exit 0. This is the same scenario the CI kill-resume job runs."""
+real subprocess, SIGKILL it mid-flight, check its slave processes exit,
+then `repro resume --check-oracle` and demand exit 0. This is the same
+scenario the CI kill-resume job runs."""
 
 import os
 import signal
@@ -17,6 +18,35 @@ SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 def repro_cmd(*args):
     return [sys.executable, "-m", "repro", *args]
+
+
+def forked_children(pid):
+    """PIDs of the processes ``pid`` forked (same command line), via /proc."""
+    with open(f"/proc/{pid}/cmdline", "rb") as f:
+        cmdline = f.read()
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                same = f.read() == cmdline
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid and same:
+            kids.append(int(entry))
+    return kids
+
+
+def is_running(pid):
+    """False once ``pid`` has exited (gone, or a zombie nobody reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def repro_env():
@@ -56,8 +86,18 @@ def test_sigkill_master_then_resume_matches_oracle(tmp_path):
             time.sleep(0.05)
         else:
             pytest.fail("no journal progress within 120 s")
+        slaves = forked_children(proc.pid)
+        assert len(slaves) == 2, f"expected two slave processes, found {slaves}"
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait(timeout=30.0)
+        # The orphaned slaves must see EOF on their pipes and exit.
+        deadline = time.monotonic() + 30.0
+        while any(map(is_running, slaves)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        alive = [pid for pid in slaves if is_running(pid)]
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+        assert not alive, f"slaves {alive} outlived the killed master by 30 s"
     finally:
         if proc.poll() is None:
             proc.kill()

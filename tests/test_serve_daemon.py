@@ -123,7 +123,9 @@ class TestFaultIsolation:
         daemon = _daemon(poll_interval=0.01)
         daemon.start()
         try:
-            spec = JobSpec(algo="edit-distance", size=96, seed=0, nodes=2,
+            # Sized to run far past the deadline (about a second of kernel
+            # work), so the watchdog, not completion, ends the job.
+            spec = JobSpec(algo="edit-distance", size=480, seed=0, nodes=2,
                            deadline=0.05)
             job_id = daemon.submit(spec).job_id
             assert daemon.wait_idle(60.0)

@@ -57,7 +57,7 @@ class TestWholeMatrixAsOneBlock:
         ref = brute_force_H(scores, gap, m, n)
         H = np.zeros((m + 1, n + 1))
         block = run_kernel_block(H, scores, gap, 1, 1, m, n)
-        assert np.allclose(block, ref[1:, 1:])
+        assert np.array_equal(block, ref[1:, 1:])
 
 
 class TestInteriorBlock:
@@ -68,7 +68,7 @@ class TestInteriorBlock:
         R0, C0, h, w = 4, 5, 3, 4
         H[R0 : R0 + h, C0 : C0 + w] = -999.0  # the block must be recomputed
         block = run_kernel_block(H, scores, gap, R0, C0, h, w)
-        assert np.allclose(block, ref[R0 : R0 + h, C0 : C0 + w])
+        assert np.array_equal(block, ref[R0 : R0 + h, C0 : C0 + w])
 
     def test_region_by_region_wavefront(self, instance):
         m, n, scores, gap = instance
@@ -84,7 +84,7 @@ class TestInteriorBlock:
         # Wavefront order: sort sub-regions by top-left corner diagonal.
         regions.sort(key=lambda rc: (rc[0].start + rc[1].start, rc[0].start))
         block = run_kernel_block(H, scores, gap, R0, C0, h, w, regions=regions)
-        assert np.allclose(block, ref[R0 : R0 + h, C0 : C0 + w])
+        assert np.array_equal(block, ref[R0 : R0 + h, C0 : C0 + w])
 
 
 class TestGapFunctionEdgeCases:
@@ -96,7 +96,7 @@ class TestGapFunctionEdgeCases:
         ref = brute_force_H(scores, gap, m, n)
         H = np.zeros((m + 1, n + 1))
         block = run_kernel_block(H, scores, gap, 1, 1, m, n)
-        assert np.allclose(block, ref[1:, 1:])
+        assert np.array_equal(block, ref[1:, 1:])
         # With gaps impossible, every cell is a pure diagonal chain.
         assert block[0, 0] == max(0.0, scores[0, 0])
 
@@ -110,6 +110,6 @@ class TestGapFunctionEdgeCases:
         ref = brute_force_H(scores, gap, m, n)
         H = np.zeros((m + 1, n + 1))
         block = run_kernel_block(H, scores, gap, 1, 1, m, n)
-        assert np.allclose(block, ref[1:, 1:])
+        assert np.array_equal(block, ref[1:, 1:])
         # The single high score propagates right/down undiminished.
         assert block[4, 2] == 5.0 and block[2, 4] == 5.0
